@@ -23,9 +23,9 @@ bench:
 
 # Cold/warm engine smoke: one tiny design point per exhibit, asserting
 # that a warm artifact cache does zero profiling or simulation work,
-# that the vector kernel is >=5x the reference (and the grid pipeline
-# >=3x the per-point path) on a fig4-shaped sweep, and that the kernel
-# and grid differential verifications pass.
+# that the vector kernel is >=5x the reference (and single-pass grid
+# replay >=3x per-configuration replay) on a fig4-shaped sweep, and
+# that the kernel and grid differential verifications pass.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_smoke.py
 	$(PYTHON) -m repro verify-kernel --workloads tiny adpcm \

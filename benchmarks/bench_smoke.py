@@ -27,7 +27,7 @@ import pytest
 
 from repro.engine import (
     ArtifactStore,
-    PointSpec,
+    GridChunk,
     RunRecord,
     map_points,
     set_default_store,
@@ -43,15 +43,15 @@ BASELINE_HISTORY = Path(__file__).resolve().parent / "baselines" \
 
 SMOKE_SCALE = 0.2
 
-#: One minimal design-point set per exhibit family.
+#: One minimal design-point set per exhibit family (one-size chunks).
 EXHIBIT_POINTS = {
-    "fig4": [PointSpec("tiny", 128, algorithm, scale=SMOKE_SCALE)
+    "fig4": [GridChunk("tiny", (128,), algorithm, scale=SMOKE_SCALE)
              for algorithm in ("casa", "steinke")],
-    "fig5": [PointSpec("tiny", 128, algorithm, scale=SMOKE_SCALE)
+    "fig5": [GridChunk("tiny", (128,), algorithm, scale=SMOKE_SCALE)
              for algorithm in ("casa", "ross")],
-    "table1": [PointSpec("tiny", 64, algorithm, scale=SMOKE_SCALE)
+    "table1": [GridChunk("tiny", (64,), algorithm, scale=SMOKE_SCALE)
                for algorithm in ("casa", "steinke", "ross")],
-    "dse": [PointSpec("tiny", 0, "baseline", scale=SMOKE_SCALE)],
+    "dse": [GridChunk("tiny", (0,), "baseline", scale=SMOKE_SCALE)],
 }
 
 
@@ -81,8 +81,8 @@ def test_exhibit_cold_then_warm(exhibit, tmp_path):
         assert warm.computed("result") == 0
         assert warm.hits("result") == cached_allocations
 
-        assert [r.energy.total for r in warm_results] \
-            == [r.energy.total for r in cold_results]
+        assert [r.energy.total for unit in warm_results for r in unit] \
+            == [r.energy.total for unit in cold_results for r in unit]
     finally:
         set_default_store(previous)
 
@@ -122,14 +122,14 @@ def test_bench_run_emits_spans_and_metrics(tmp_path):
         EXHIBIT_POINTS["table1"], tmp_path / "cache"
     )
     names = set(collector.span_names())
-    assert "point.evaluate" in names
+    assert "chunk.evaluate" in names
     assert "engine.resolve.result" in names
     assert "engine.resolve.workbench" in names
     assert "ilp.solve" in names
     assert "sim.hierarchy" in names
     assert "trace.generate" in names
     assert "graph.build" in names
-    point_count = collector.span_names().count("point.evaluate")
+    point_count = collector.span_names().count("chunk.evaluate")
     assert point_count == len(EXHIBIT_POINTS["table1"])
     assert registry.value("ilp.solves") >= 1
     assert registry.value("graph.builds") == 1
@@ -321,7 +321,7 @@ def test_vector_backend_speedup_at_least_5x():
 
 
 def test_grid_replay_speedup_at_least_3x():
-    """Acceptance: single-pass grid replay is ≥3× the per-point path.
+    """Acceptance: single-pass grid replay is ≥3× per-config replay.
 
     Times a constant-geometry cache axis (line 16, 32/64 sets, 1–8
     ways, all LRU) over the fig4-shaped image set through one

@@ -36,6 +36,7 @@ MODULES = (
     "repro.engine.store",
     "repro.engine.runner",
     "repro.engine.parallel",
+    "repro.engine.context",
     "repro.io.serde",
     "repro.serve.schema",
     "repro.serve.batching",

@@ -15,7 +15,7 @@ Commands:
   difference);
 * ``verify-grid`` — differentially verify the grid pipeline
   (single-pass multi-configuration replay, warm-started solves)
-  against the per-point path: bit-identical reports and allocations
+  against cold per-size solves: bit-identical reports and allocations
   or non-zero exit;
 * ``bench`` — benchmark regression tracking (``record`` a metric
   snapshot / ``compare`` against a committed baseline, non-zero exit
@@ -34,14 +34,13 @@ Commands:
 Every experiment command consults the engine's content-addressed
 artifact cache (on disk under ``--cache-dir``, default ``.casa_cache``
 or ``$CASA_CACHE_DIR``); ``--no-cache`` disables the disk tier and
-``--jobs N`` fans sweep design points across worker processes, and
+``--jobs N`` fans sweep work units across worker processes, and
 ``--backend`` selects the simulation backend (``reference`` |
 ``vector`` | ``auto``).  The
 sweep-shaped commands (``sweep``, ``fig4``, ``fig5``, ``table1``,
-``dse``) run the grid pipeline by default (one work unit per
-allocator covering its whole capacity axis, with single-pass cache
-replay and warm-started solves; ``--per-point`` restores one unit per
-(size, allocator) pair, with identical results) and additionally
+``dse``) run the grid pipeline (one work unit per allocator covering
+its whole capacity axis, with single-pass cache replay and
+warm-started solves) and additionally
 accept ``--trace FILE`` (record a Chrome-trace
 run file, viewable in ``chrome://tracing`` / Perfetto and readable by
 ``report``), ``--metrics`` (print the run's metric counters),
@@ -64,19 +63,19 @@ from typing import Callable
 
 from repro.api import Session
 from repro.engine.runner import RunRecord
-from repro.engine.store import ArtifactStore, CACHE_DIR_ENV, \
-    set_default_store
+from repro.engine.context import RunContext
+from repro.engine.store import ArtifactStore, CACHE_DIR_ENV
 from repro.memory.replacement import available_policies
 from repro.evaluation.fig4 import run_fig4
 from repro.evaluation.fig5 import run_fig5
 from repro.evaluation.sweep import run_sweep
 from repro.evaluation.table1 import run_table1
 from repro.evaluation.reporting import microjoules, percent
-from repro.obs.events import EventRecorder, set_recorder
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.events import EventRecorder
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import build_run_payload, load_run, \
     render_run_report, summarise_run, write_run_file
-from repro.obs.trace import TraceCollector, set_collector
+from repro.obs.trace import TraceCollector
 from repro.utils.tables import format_table
 from repro.workloads.registry import available_workloads
 
@@ -89,16 +88,6 @@ def _session(args: argparse.Namespace) -> Session:
     """The command's workload/scale/seed/backend as one Session."""
     return Session(args.workload, scale=args.scale, seed=args.seed,
                    backend=args.backend)
-
-
-def _add_per_point(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--per-point", action="store_true",
-        help="schedule one design point per (size, allocator) pair "
-             "instead of the default grid path (one chunk per "
-             "allocator with single-pass cache replay and "
-             "warm-started solves); results are identical",
-    )
 
 
 def _add_scale(parser: argparse.ArgumentParser,
@@ -206,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=available_workloads())
     fig4.add_argument("--chart", action="store_true",
                       help="render as grouped bars")
-    _add_per_point(fig4)
     _add_scale(fig4, jobs=True)
 
     fig5 = sub.add_parser("fig5",
@@ -215,11 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=available_workloads())
     fig5.add_argument("--chart", action="store_true",
                       help="render as grouped bars")
-    _add_per_point(fig5)
     _add_scale(fig5, jobs=True)
 
     table1 = sub.add_parser("table1", help="overall savings (table 1)")
-    _add_per_point(table1)
     _add_scale(table1, jobs=True)
 
     sweep = sub.add_parser("sweep", help="free-form size sweep")
@@ -237,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="after the table, justify the CASA allocation at the "
              "largest swept size object by object",
     )
-    _add_per_point(sweep)
     _add_scale(sweep, jobs=True)
 
     graph = sub.add_parser("graph", help="dump the conflict graph (DOT)")
@@ -293,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "direct mapped, where all policies collapse; raise it "
              "to make --policies meaningful)",
     )
-    _add_per_point(dse)
     _add_scale(dse, jobs=True)
 
     explain = sub.add_parser(
@@ -368,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify_grid = sub.add_parser(
         "verify-grid",
-        help="differentially verify the grid pipeline against the "
-             "per-point path (bit-identical reports and allocations); "
+        help="differentially verify the grid pipeline against cold "
+             "per-size solves (bit-identical reports and allocations); "
              "non-zero exit on any divergence or zero-coverage grid",
     )
     verify_grid.add_argument(
@@ -589,16 +573,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_store(args: argparse.Namespace) -> ArtifactStore:
-    """Install the process-wide store the parsed flags ask for."""
+def _make_store(args: argparse.Namespace) -> ArtifactStore:
+    """The artifact store the parsed flags ask for."""
     if getattr(args, "no_cache", False):
-        store = ArtifactStore()
-    else:
-        cache_dir = getattr(args, "cache_dir", None) \
-            or _default_cache_dir()
-        store = ArtifactStore(cache_dir=cache_dir)
-    set_default_store(store)
-    return store
+        return ArtifactStore()
+    cache_dir = getattr(args, "cache_dir", None) or _default_cache_dir()
+    return ArtifactStore(cache_dir=cache_dir)
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:
@@ -646,9 +626,8 @@ def _run_observed(args: argparse.Namespace,
     deterministic outputs — live consumers only *read* snapshots.
     """
     from repro.obs.live import ProgressBus, TelemetryWriter, \
-        WatchRenderer, set_progress_sink
-    from repro.obs.logging import RunLog, log_event, new_run_id, \
-        set_run_log
+        WatchRenderer
+    from repro.obs.logging import RunLog, log_event, new_run_id
 
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
@@ -683,43 +662,36 @@ def _run_observed(args: argparse.Namespace,
         from repro.obs.profiler import SamplingProfiler
         profiler = SamplingProfiler()
 
-    previous_collector = set_collector(collector) \
-        if collector is not None else None
-    previous_registry = set_registry(registry) \
-        if registry is not None else None
-    previous_recorder = set_recorder(recorder) \
-        if recorder is not None else None
-    previous_log = set_run_log(run_log) if run_log is not None else None
-    previous_sink = set_progress_sink(bus) if bus is not None else None
-    log_event("run.start", command=args.command,
-              argv=getattr(args, "_argv", None))
-    if telemetry is not None:
-        telemetry.start()
-    if watcher is not None:
-        watcher.start()
-    if profiler is not None:
-        profiler.start()
+    # Only the requested instruments replace the ambient ones.
+    requested = dict(collector=collector, registry=registry,
+                     recorder=recorder, run_log=run_log, sink=bus)
+    context = RunContext.current().replace(**{
+        slot: value for slot, value in requested.items()
+        if value is not None
+    })
     try:
-        code = run(record)
+        with context.installed():
+            log_event("run.start", command=args.command,
+                      argv=getattr(args, "_argv", None))
+            if telemetry is not None:
+                telemetry.start()
+            if watcher is not None:
+                watcher.start()
+            if profiler is not None:
+                profiler.start()
+            try:
+                code = run(record)
+            finally:
+                if profiler is not None:
+                    profiler.stop()
+                if watcher is not None:
+                    watcher.stop()
+                if telemetry is not None:
+                    telemetry.stop()
+                log_event("run.done", command=args.command)
     finally:
-        if profiler is not None:
-            profiler.stop()
-        if watcher is not None:
-            watcher.stop()
-        if telemetry is not None:
-            telemetry.stop()
-        log_event("run.done", command=args.command)
-        if bus is not None:
-            set_progress_sink(previous_sink)
         if run_log is not None:
-            set_run_log(previous_log)
             run_log.close()
-        if collector is not None:
-            set_collector(previous_collector)
-        if registry is not None:
-            set_registry(previous_registry)
-        if recorder is not None:
-            set_recorder(previous_recorder)
     if recorder is not None:
         print(recorder.render())
     if registry is not None:
@@ -919,14 +891,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report" and args.run:
         return _run_trace_report(args)
 
-    _configure_store(args)
+    with RunContext.current().replace(store=_make_store(args)).installed():
+        return _run_engine_command(args)
 
+
+def _run_engine_command(args: argparse.Namespace) -> int:
+    """Commands that run on the configured artifact store."""
     if args.command == "fig4":
         def run_fig4_command(record: RunRecord) -> int:
             result = run_fig4(args.workload, scale=args.scale,
                               seed=args.seed, jobs=args.jobs,
-                              record=record, backend=args.backend,
-                              grid=not args.per_point)
+                              record=record, backend=args.backend)
             print(result.render_chart() if args.chart
                   else result.render())
             print(f"average energy improvement: "
@@ -938,8 +913,7 @@ def main(argv: list[str] | None = None) -> int:
         def run_fig5_command(record: RunRecord) -> int:
             result = run_fig5(args.workload, scale=args.scale,
                               seed=args.seed, jobs=args.jobs,
-                              record=record, backend=args.backend,
-                              grid=not args.per_point)
+                              record=record, backend=args.backend)
             print(result.render_chart() if args.chart
                   else result.render())
             print(f"average energy improvement: "
@@ -951,8 +925,7 @@ def main(argv: list[str] | None = None) -> int:
         def run_table1_command(record: RunRecord) -> int:
             result = run_table1(scale=args.scale, seed=args.seed,
                                 jobs=args.jobs, record=record,
-                                backend=args.backend,
-                                grid=not args.per_point)
+                                backend=args.backend)
             print(result.render())
             print(f"overall: {percent(result.overall_vs_steinke)}% "
                   f"vs. Steinke, "
@@ -972,7 +945,6 @@ def main(argv: list[str] | None = None) -> int:
                 jobs=args.jobs,
                 record=record,
                 backend=args.backend,
-                grid=not args.per_point,
             )
             headers = ["size (B)"] + [f"{a} (uJ)"
                                       for a in args.algorithms]
@@ -1052,8 +1024,7 @@ def main(argv: list[str] | None = None) -> int:
                              scale=args.scale, seed=args.seed,
                              jobs=args.jobs, record=record,
                              backend=args.backend,
-                             grid=not args.per_point,
-                             policies=args.policies,
+                                          policies=args.policies,
                              associativity=args.assoc)
             print(render_design_points(points, top=args.top))
             best = points[0]

@@ -12,11 +12,14 @@ producing a typed artifact with a content-addressed digest:
 * :mod:`repro.engine.runner` — stage resolution with hit/compute
   accounting (:class:`RunRecord`) and the engine-backed
   :func:`make_workbench`;
-* :mod:`repro.engine.parallel` — :func:`map_points` fans design points
+* :mod:`repro.engine.grid` — :class:`GridChunk`, the one schedulable
+  work unit: an allocator over a capacity axis (single-pass cache
+  replay, warm-started solves; a design point is a one-size chunk);
+* :mod:`repro.engine.parallel` — :func:`map_points` fans chunks
   across a process pool with deterministic result ordering;
-* :mod:`repro.engine.grid` — :class:`GridChunk` schedules a whole
-  capacity axis as one work unit (single-pass cache replay,
-  warm-started solves).
+* :mod:`repro.engine.context` — :class:`RunContext`, the seven
+  process-wide instrument slots as one value that installs, ships to
+  workers and merges their payloads back.
 
 Every consumer — ``Workbench``, the sweep/figure/table harnesses, the
 CLI and the benchmarks — routes through this package, so a warm cache
@@ -52,12 +55,8 @@ from repro.engine.grid import (
     GridChunk,
     evaluate_chunk,
 )
-from repro.engine.parallel import (
-    POINT_ALGORITHMS,
-    PointSpec,
-    evaluate_point,
-    map_points,
-)
+from repro.engine.context import RunContext
+from repro.engine.parallel import map_points
 from repro.engine.runner import (
     STAGES,
     RunRecord,
@@ -106,9 +105,7 @@ __all__ = [
     "CHUNK_ALGORITHMS",
     "GridChunk",
     "evaluate_chunk",
-    "POINT_ALGORITHMS",
-    "PointSpec",
-    "evaluate_point",
+    "RunContext",
     "map_points",
     "STAGES",
     "RunRecord",

@@ -1,16 +1,14 @@
-"""Grid chunks: whole capacity axes as schedulable work units.
+"""Grid chunks: the engine's one schedulable work unit.
 
-A :class:`GridChunk` is the grid-native sibling of
-:class:`~repro.engine.parallel.PointSpec`: instead of one (workload,
-capacity, allocator) triple it names a workload, an allocator and the
-*whole* scratchpad-size axis.  Evaluating a chunk profiles the
-workbench once, replays the cache work through the shared grid
-artifacts and solves the capacity steps in ascending order with
-warm-started branch & bound — so a sweep schedules one chunk per
-allocator rather than ``len(sizes)`` independent points, while
-:func:`~repro.engine.parallel.map_points` and the self-healing
-:func:`~repro.resilience.healing.map_points_healed` treat chunks
-exactly like points (retry ladder included).
+A :class:`GridChunk` names a workload configuration, an allocator and
+a scratchpad-size axis; a single design point is a one-size chunk.
+Evaluating a chunk profiles the workbench once, replays the cache work
+through the shared grid artifacts and solves the capacity steps in
+ascending order with warm-started branch & bound — so a sweep
+schedules one chunk per allocator rather than ``len(sizes)``
+independent solves.  :func:`~repro.engine.parallel.map_points` and the
+self-healing :func:`~repro.resilience.healing.map_points_healed`
+schedule chunks (the retry ladder retries a whole chunk as one unit).
 """
 
 from __future__ import annotations
@@ -77,8 +75,8 @@ def evaluate_chunk(chunk: GridChunk,
 
     Returns:
         One result per entry of ``chunk.spm_sizes``, in input order —
-        bit-identical to evaluating the corresponding
-        :class:`~repro.engine.parallel.PointSpec` list (the
+        bit-identical to cold per-size
+        :class:`~repro.core.pipeline.Workbench` evaluations (the
         ``repro verify-grid`` gate enforces this).
 
     Raises:

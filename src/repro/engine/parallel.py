@@ -1,248 +1,144 @@
-"""Parallel design-point execution over ``concurrent.futures``.
+"""Parallel work-unit execution over ``concurrent.futures``.
 
-A *design point* is one (workload, scratchpad size, allocator) triple —
-optionally with cache / trace-formation overrides, as design-space
-exploration needs.  :func:`map_points` fans a list of points across a
-process pool (sweeps are embarrassingly parallel per point), falls back
-to serial execution when a pool cannot be created, and always returns
-results in the order of the input points, so parallel output is
-indistinguishable from serial output.
+The engine schedules one kind of work unit, the
+:class:`~repro.engine.grid.GridChunk`: one allocator over a capacity
+axis of one workload configuration (a single design point is a
+one-size chunk).  :func:`map_points` fans a list of chunks across a
+process pool (sweeps are embarrassingly parallel per chunk), falls
+back to serial execution when a pool cannot be created, and always
+returns results in the order of the input chunks, so parallel output
+is indistinguishable from serial output.
 
-Workers share the parent's on-disk artifact cache (when one is
-configured), so the expensive allocation-independent stages are
-computed once per workbench configuration no matter which worker gets
-there first.
+Workers run under the parent's :class:`~repro.engine.context.RunContext`,
+shipped as one :class:`~repro.engine.context.WorkerSpec`: the same
+artifact-store backend (so the expensive allocation-independent stages
+are computed once per workbench configuration no matter which worker
+gets there first), the same fault plan, heartbeats and run log.  Each
+unit returns one :class:`~repro.engine.context.WorkerPayload`, and
+:meth:`~repro.engine.context.RunContext.merge` folds the payloads back
+in input order.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import concurrent.futures.process
-import os
 import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.engine.runner import RunRecord, StageRunner, make_workbench
-from repro.engine.store import ArtifactStore, default_store, \
-    set_default_store
+from repro.engine.context import RunContext, WorkerPayload, WorkerSpec
+from repro.engine.grid import CHUNK_ALGORITHMS, GridChunk, evaluate_chunk
+from repro.engine.runner import RunRecord, StageRunner
 from repro.errors import ConfigurationError, InjectedFault
-from repro.resilience.faults import FaultPlan, active_fault_plan, \
-    maybe_inject, set_fault_attempt, set_fault_plan
-from repro.memory.cache import CacheConfig
+from repro.resilience.faults import maybe_inject, set_fault_attempt
 from repro.obs import live
-from repro.obs.events import EventRecorder, active_recorder, \
-    set_recorder
-from repro.obs.logging import active_log_spec, install_from_spec, \
-    log_event
-from repro.obs.metrics import MetricsRegistry, active_registry, \
-    set_registry
-from repro.obs.trace import TraceCollector, get_collector, \
-    set_collector, span
-from repro.traces.tracegen import TraceGenConfig
+from repro.obs.logging import log_event
+from repro.obs.metrics import active_registry
 
 if TYPE_CHECKING:
     from repro.core.pipeline import ExperimentResult
 
-#: Algorithms a design point may name (``baseline`` = cache-only).
-POINT_ALGORITHMS = ("casa", "steinke", "greedy", "ross", "baseline")
+
+def _check_algorithms(units: list[GridChunk]) -> None:
+    """Reject an unknown allocator before any work is scheduled."""
+    for unit in units:
+        if unit.algorithm not in CHUNK_ALGORITHMS:
+            raise ConfigurationError(
+                f"unknown algorithm {unit.algorithm!r}; choose from "
+                f"{CHUNK_ALGORITHMS}"
+            )
 
 
-@dataclass(frozen=True)
-class PointSpec:
-    """One design point of a sweep or exploration.
-
-    Attributes:
-        workload: registered workload name.
-        spm_size: scratchpad / loop-cache capacity in bytes (ignored
-            for ``baseline``).
-        algorithm: one of :data:`POINT_ALGORITHMS`.
-        scale: workload trip-count multiplier.
-        seed: executor seed.
-        cache: I-cache override (``None`` = the workload's default).
-        tracegen: trace-formation override (``None`` = derived from the
-            cache line size and the workload's smallest scratchpad).
-        max_regions: preloadable regions for the ``ross`` allocator.
-        backend: simulation backend (``reference`` | ``vector`` |
-            ``auto``; ``None`` defers to ``CASA_BACKEND``, then
-            ``auto``).
-    """
-
-    workload: str
-    spm_size: int
-    algorithm: str = "casa"
-    scale: float = 1.0
-    seed: int = 0
-    cache: CacheConfig | None = None
-    tracegen: TraceGenConfig | None = None
-    max_regions: int = 4
-    backend: str | None = None
+def _describe_unit(unit: GridChunk) -> str:
+    """Short label of a work unit for progress notes and errors."""
+    axis = "+".join(str(size) for size in unit.spm_sizes)
+    return f"{unit.workload}/{unit.algorithm}@[{axis}]"
 
 
-def evaluate_point(point: PointSpec,
-                   runner: StageRunner | None = None
-                   ) -> "ExperimentResult":
-    """Evaluate one design point through the staged engine.
+def _evaluate_unit(unit: GridChunk, runner: StageRunner | None = None
+                   ) -> list["ExperimentResult"]:
+    """Evaluate one work unit: the engine's unit boundary.
 
-    Args:
-        point: the design point.
-        runner: stage runner to resolve through (defaults to a fresh
-            runner on the process-wide store).
-
-    Raises:
-        ConfigurationError: for an unknown algorithm.
-    """
-    if point.algorithm not in POINT_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm {point.algorithm!r}; choose from "
-            f"{POINT_ALGORITHMS}"
-        )
-    runner = runner if runner is not None else StageRunner()
-    with span("point.evaluate", workload=point.workload,
-              algorithm=point.algorithm, spm_size=point.spm_size,
-              scale=point.scale, seed=point.seed):
-        maybe_inject("worker.exec", workload=point.workload,
-                     algorithm=point.algorithm,
-                     spm_size=point.spm_size)
-        _, bench = make_workbench(
-            point.workload, point.scale, point.seed,
-            cache=point.cache, tracegen=point.tracegen, runner=runner,
-            backend=point.backend,
-        )
-        if point.algorithm == "baseline":
-            return bench.baseline_result()
-        if point.algorithm == "casa":
-            return bench.run_casa(point.spm_size)
-        if point.algorithm == "steinke":
-            return bench.run_steinke(point.spm_size)
-        if point.algorithm == "greedy":
-            return bench.run_greedy(point.spm_size)
-        return bench.run_ross(point.spm_size,
-                              max_regions=point.max_regions)
-
-
-def _describe_spec(spec) -> str:
-    """Short progress label of a work unit (point or grid chunk)."""
-    sizes = getattr(spec, "spm_sizes", None)
-    if sizes is not None:
-        axis = "+".join(str(size) for size in sizes)
-        return f"{spec.workload}/{spec.algorithm}@[{axis}]"
-    return f"{spec.workload}/{spec.algorithm}@{spec.spm_size}"
-
-
-def _evaluate_spec_inner(spec, runner: StageRunner | None = None):
-    if hasattr(spec, "spm_sizes"):
-        from repro.engine.grid import evaluate_chunk
-        return evaluate_chunk(spec, runner=runner)
-    return evaluate_point(spec, runner=runner)
-
-
-def _evaluate_spec(spec, runner: StageRunner | None = None):
-    """Evaluate one work unit — a :class:`PointSpec` or a grid chunk.
-
-    The engine's schedulers (:func:`map_points` and the self-healing
-    ladder on top of it) accept both unit shapes; a
-    :class:`~repro.engine.grid.GridChunk` — recognised by its
-    ``spm_sizes`` axis — evaluates to a result *list*, a point to a
-    single result.
-
-    This is the engine's unit boundary, so it also carries the live
+    Besides evaluating the chunk, this carries the live
     instrumentation: unit start/finish notes to the active progress
     sink (stall detection keys off the start note) and a per-unit
-    wall-time observation into the ``point.evaluate.seconds`` /
-    ``chunk.evaluate.seconds`` percentile histograms.  Both are free
-    when no sink and no registry are installed.
+    wall-time observation into the ``chunk.evaluate.seconds``
+    percentile histogram.  Both are free when no sink and no registry
+    are installed.
     """
     registry = active_registry()
     if live.active_sink() is None and registry is None:
-        return _evaluate_spec_inner(spec, runner=runner)
-    label = _describe_spec(spec)
+        return evaluate_chunk(unit, runner=runner)
+    label = _describe_unit(unit)
     live.note_unit_started(label)
     start = time.perf_counter()
     try:
-        result = _evaluate_spec_inner(spec, runner=runner)
+        result = evaluate_chunk(unit, runner=runner)
     finally:
         seconds = time.perf_counter() - start
         if registry is not None:
-            name = "chunk.evaluate.seconds" \
-                if hasattr(spec, "spm_sizes") else "point.evaluate.seconds"
-            registry.histogram(name).observe(seconds)
+            registry.histogram("chunk.evaluate.seconds").observe(seconds)
         live.note_unit_finished(label, seconds)
     return result
 
 
-def _init_worker(cache_dir: str | None,
-                 fault_spec: str | None = None,
-                 heartbeat_dir: str | None = None,
-                 log_spec: tuple[str, str] | None = None) -> None:
-    """Process-pool initializer: point the worker at the shared cache.
+#: The worker process's context spec, set by the pool initializer.
+_WORKER_SPEC: WorkerSpec | None = None
 
-    When a fault plan is active in the parent, its spec rides along so
-    workers replay the same rules even under the ``spawn`` start
-    method (``fork`` would inherit the plan, but the spec makes the
-    behaviour start-method independent — with fresh per-process rule
-    state either way).  When the parent has live telemetry on, the
-    heartbeat directory and run-log spec ride along the same way: the
-    worker installs a :class:`~repro.obs.live.HeartbeatWriter` sink
-    and reopens the parent's structured log under the same ``run_id``.
+
+def _init_worker(spec: WorkerSpec) -> None:
+    """Process-pool initializer: install the parent's run context.
+
+    The spec makes the behaviour start-method independent: under
+    ``fork`` or ``spawn`` alike, each worker builds its own store over
+    the parent's backend, replays the parent's fault plan with fresh
+    rule state, beats into the parent's heartbeat directory and
+    appends to the parent's run log under the same ``run_id``.
     """
-    set_default_store(ArtifactStore(cache_dir=cache_dir))
-    if fault_spec:
-        set_fault_plan(FaultPlan.from_spec(fault_spec))
-    if heartbeat_dir:
-        live.set_progress_sink(live.HeartbeatWriter(heartbeat_dir))
-    install_from_spec(log_spec)
+    global _WORKER_SPEC
+    _WORKER_SPEC = spec
+    spec.install()
 
 
-def _evaluate_in_worker(task: tuple[PointSpec, bool, bool, bool, int]):
-    """Worker-side evaluation of one design point.
+def _evaluate_in_worker(task: tuple[GridChunk, int]) -> WorkerPayload:
+    """Worker-side evaluation of one work unit.
 
-    *task* is ``(point, trace, metrics, events, attempt)`` — the flags
-    mirror whether the parent had a collector/registry/event recorder
-    installed, and *attempt* is the retry attempt the self-healing
-    layer is on (0 for plain :func:`map_points`).  Returns ``(result,
-    record_dict, span_events, metrics_snapshot, event_snapshot)``
-    where the middle three are ``None`` unless the matching flag was
-    set; the parent merges them back in input order, exactly like the
-    record counters.
+    *task* is ``(unit, attempt)``; *attempt* is the retry attempt the
+    self-healing layer is on (0 for plain :func:`map_points`).  The
+    unit runs under fresh trace/metrics/event instruments where the
+    parent had them, and their contents ride back in the payload.
     """
-    point, trace_enabled, metrics_enabled, events_enabled, attempt = task
+    unit, attempt = task
+    assert _WORKER_SPEC is not None
     set_fault_attempt(attempt)
-    collector = TraceCollector() if trace_enabled else None
-    registry = MetricsRegistry() if metrics_enabled else None
-    recorder = EventRecorder() if events_enabled else None
-    previous_collector = set_collector(collector) \
-        if trace_enabled else None
-    previous_registry = set_registry(registry) \
-        if metrics_enabled else None
-    previous_recorder = set_recorder(recorder) \
-        if events_enabled else None
+    context = _WORKER_SPEC.unit_context()
+    record = RunRecord()
+    with context.installed():
+        result = _evaluate_unit(unit, runner=StageRunner(record=record))
+    return context.payload(result, record)
+
+
+def _start_pool(jobs: int, spec: WorkerSpec
+                ) -> concurrent.futures.ProcessPoolExecutor:
+    """A worker pool whose initializer is known to have succeeded.
+
+    One round trip proves the workers could install *spec* (a backend
+    name unknown to a worker breaks the pool here, before any unit is
+    scheduled); the caller then falls back to serial execution.
+    """
+    maybe_inject("worker.spawn", jobs=jobs)
+    pool = concurrent.futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_init_worker, initargs=(spec,),
+    )
     try:
-        record = RunRecord()
-        runner = StageRunner(record=record)
-        result = _evaluate_spec(point, runner=runner)
-    finally:
-        if trace_enabled:
-            set_collector(previous_collector)
-        if metrics_enabled:
-            set_registry(previous_registry)
-        if events_enabled:
-            set_recorder(previous_recorder)
-    events = [event.as_json() for event in collector.events()] \
-        if collector is not None else None
-    snapshot = registry.snapshot() if registry is not None else None
-    event_snapshot = recorder.snapshot() \
-        if recorder is not None else None
-    return result, record.as_dict(), events, snapshot, event_snapshot
-
-
-def _active_fault_spec() -> str | None:
-    """Spec of the parent's fault plan, for worker initializers."""
-    plan = active_fault_plan()
-    return plan.spec() if plan is not None and plan.rules else None
+        pool.submit(int).result()
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    return pool
 
 
 def _setup_worker_live() -> tuple[str | None, "live.ProgressBus | None"]:
@@ -280,94 +176,66 @@ def _teardown_worker_live(directory: str | None,
     shutil.rmtree(directory, ignore_errors=True)
 
 
-def _run_serial(points: list[PointSpec],
+def _run_serial(units: list[GridChunk],
                 runner: StageRunner | None,
-                record: RunRecord | None) -> list["ExperimentResult"]:
+                record: RunRecord | None) -> list[list["ExperimentResult"]]:
     if runner is None:
         runner = StageRunner(record=record)
-    return [_evaluate_spec(point, runner=runner) for point in points]
+    return [_evaluate_unit(unit, runner=runner) for unit in units]
 
 
 def map_points(
-    points: list[PointSpec] | tuple[PointSpec, ...],
+    points: list[GridChunk] | tuple[GridChunk, ...],
     jobs: int = 1,
     runner: StageRunner | None = None,
     record: RunRecord | None = None,
-    cache_dir: str | os.PathLike | None = None,
-) -> list["ExperimentResult"]:
-    """Evaluate *points*, optionally across a process pool.
+) -> list[list["ExperimentResult"]]:
+    """Evaluate work units, optionally across a process pool.
 
     Args:
-        points: work units — :class:`PointSpec` design points and/or
-            :class:`~repro.engine.grid.GridChunk` capacity axes — in
-            the order results are wanted (a chunk's result is the
-            *list* of its per-capacity results).
+        points: :class:`~repro.engine.grid.GridChunk` work units, in
+            the order results are wanted.
         jobs: worker processes; ``<= 1`` runs serially in-process.
         runner: stage runner for the serial path (ignored when a pool
             is used — each worker builds its own).
         record: run record that receives the merged per-stage counters
             from every worker (or the serial runner).
-        cache_dir: on-disk cache directory shared with the workers;
-            defaults to the process-wide store's directory.
 
     Returns:
-        One :class:`~repro.core.pipeline.ExperimentResult` per point,
-        in input order — byte-for-byte identical to a serial run.
-    """
-    points = list(points)
-    for point in points:
-        if point.algorithm not in POINT_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {point.algorithm!r}; choose from "
-                f"{POINT_ALGORITHMS}"
-            )
-    live.note_total(len(points))
-    log_event("map.start", units=len(points), jobs=jobs)
-    if jobs <= 1 or len(points) <= 1:
-        return _run_serial(points, runner, record)
+        One result list per unit (one
+        :class:`~repro.core.pipeline.ExperimentResult` per capacity of
+        its axis), in input order — identical to a serial run.
 
-    if cache_dir is None:
-        cache_dir = default_store().cache_dir
-    init_arg = str(cache_dir) if cache_dir is not None else None
-    collector = get_collector()
-    registry = active_registry()
-    recorder = active_recorder()
-    tasks = [
-        (point, collector is not None, registry is not None,
-         recorder is not None, 0)
-        for point in points
-    ]
+    Raises:
+        ConfigurationError: for an unknown algorithm.
+    """
+    units = list(points)
+    _check_algorithms(units)
+    live.note_total(len(units))
+    log_event("map.start", units=len(units), jobs=jobs)
+    if jobs <= 1 or len(units) <= 1:
+        return _run_serial(units, runner, record)
+
     heartbeat_dir, bus = _setup_worker_live()
-    try:
-        maybe_inject("worker.spawn", jobs=jobs)
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, len(points)),
-            initializer=_init_worker,
-            initargs=(init_arg, _active_fault_spec(), heartbeat_dir,
-                      active_log_spec()),
-        ) as pool:
-            outcomes = list(pool.map(_evaluate_in_worker, tasks))
-    except (OSError, concurrent.futures.process.BrokenProcessPool,
-            pickle.PicklingError, InjectedFault):
+    context = RunContext.current()
+    spec = context.worker_spec()
+    payloads = None
+    if spec is not None:
+        try:
+            with _start_pool(min(jobs, len(units)), spec) as pool:
+                payloads = list(pool.map(
+                    _evaluate_in_worker, [(unit, 0) for unit in units]))
+        except (OSError, concurrent.futures.process.BrokenProcessPool,
+                pickle.PicklingError, InjectedFault):
+            pass
+    if payloads is None:
         # No usable multiprocessing (restricted sandbox, unpicklable
-        # payload...): degrade to the serial path, same results.
+        # payload, a store the workers cannot rebuild...): degrade to
+        # the serial path, same results.
         _teardown_worker_live(heartbeat_dir, bus, absorb=False)
-        log_event("map.fallback", mode="serial", units=len(points))
-        return _run_serial(points, runner, record)
-    results: list["ExperimentResult"] = []
-    # Worker observability folds back in input order, mirroring the
-    # record merge: the merged span/metric stream is deterministic no
-    # matter which worker finished first.
-    for result, counts, events, snapshot, event_snapshot in outcomes:
-        if record is not None:
-            record.merge(counts)
-        if collector is not None and events:
-            collector.merge(events)
-        if registry is not None and snapshot:
-            registry.merge(snapshot)
-        if recorder is not None and event_snapshot:
-            recorder.merge(event_snapshot)
-        results.append(result)
+        log_event("map.fallback", mode="serial", units=len(units))
+        return _run_serial(units, runner, record)
+    context.merge(payloads, record)
     _teardown_worker_live(heartbeat_dir, bus, absorb=True)
-    log_event("map.done", units=len(points), jobs=jobs)
-    return results
+    log_event("map.done", units=len(units), jobs=jobs)
+    return [payload.result for payload in payloads]

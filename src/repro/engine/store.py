@@ -671,6 +671,7 @@ class ArtifactStore:
                  backend: "str | StorageBackend | None" = None,
                  memory_bytes: int | None = None) -> None:
         persist: Any = None
+        spec: str | None = None
         if isinstance(backend, str):
             name, _, arg = backend.partition(":")
             if name == "memory":
@@ -681,10 +682,17 @@ class ArtifactStore:
                     persist = DiskBackend(cache_dir)
                 else:
                     persist = make_backend(backend)
+                spec = backend
         elif backend is not None:
             persist = backend
         elif cache_dir is not None:
             persist = DiskBackend(cache_dir)
+        if isinstance(persist, DiskBackend):
+            spec = f"disk:{persist.cache_dir}"
+        #: Spec that rebuilds the persistent tier in another process
+        #: (``None`` when there is none, or when it was handed in as a
+        #: ready backend object other than a :class:`DiskBackend`).
+        self.backend_spec = spec
         self._memory = MemoryBackend(max_items=memory_items,
                                      max_bytes=memory_bytes)
         self._persist = persist

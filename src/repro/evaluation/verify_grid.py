@@ -1,4 +1,4 @@
-"""Grid differential gate: the grid pipeline vs. the per-point path.
+"""Grid differential gate: the grid pipeline vs. cold per-size solves.
 
 The grid pipeline's contract is that batching changes *nothing* but
 wall-clock time: one :func:`~repro.memory.kernel.grid.simulate_grid`
@@ -6,9 +6,9 @@ pass over a fetch stream must produce byte-identical
 :class:`~repro.memory.stats.SimulationReport`\\ s to per-configuration
 simulation, and a sweep scheduled as grid chunks (shared conflict
 graph, warm-started branch & bound) must produce byte-identical
-reports *and* :class:`~repro.core.allocation.Allocation`\\ s to one
-scheduled as independent design points.  This module checks that
-contract from three directions:
+reports *and* :class:`~repro.core.allocation.Allocation`\\ s to cold,
+independent per-size :class:`~repro.core.pipeline.Workbench`
+evaluations.  This module checks that contract from three directions:
 
 1. **Coverage** — the verification axis itself must partition into at
    least one single-pass scan group; a zero-coverage grid means every
@@ -20,12 +20,14 @@ contract from three directions:
    set-associative configuration per non-stack policy — FIFO, LFU,
    2Q — exercising the grid's own per-config fallback) and compared
    field by field against the reference simulator.
-3. **Sweep** — a full allocator sweep runs twice on fresh artifact
-   stores, once as grid chunks and once per-point, and every
-   (size, allocator) cell is compared: full report, energy total, and
-   every :class:`Allocation` field except ``solver_nodes`` (warm and
-   cold branch & bound may prove the same optimum exploring different
-   node counts).
+3. **Sweep** — a full allocator sweep runs as grid chunks on a fresh
+   artifact store, and every (size, allocator) cell is recomputed by
+   a direct per-size ``Workbench`` call (``run_casa`` /
+   ``run_steinke`` / ``run_greedy`` / ``run_ross``) on a second fresh
+   store and compared: full report, energy total, and every
+   :class:`Allocation` field except ``solver_nodes`` (warm and cold
+   branch & bound may prove the same optimum exploring different node
+   counts).
 
 ``repro verify-grid`` runs all three and exits non-zero on any
 difference; ``make test`` gates on it next to ``verify-kernel`` and
@@ -37,7 +39,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.engine.store import ArtifactStore, set_default_store
+from repro.engine.context import RunContext
+from repro.engine.store import ArtifactStore
 from repro.memory.cache import CacheConfig
 from repro.memory.kernel import (
     SweepGrid,
@@ -58,8 +61,9 @@ DEFAULT_WORKLOADS = ("tiny", "adpcm")
 #: Allocators of the sweep-level check.
 DEFAULT_ALGORITHMS = ("casa", "steinke", "ross")
 
-#: Allocation fields that must match bit-for-bit between the grid and
-#: per-point paths.  ``solver_nodes`` is deliberately absent: a
+#: Allocation fields that must match bit-for-bit between the grid
+#: path and cold per-size solves.  ``solver_nodes`` is deliberately
+#: absent: a
 #: warm-started branch & bound may reach the identical optimum through
 #: a different number of nodes.
 ALLOCATION_FIELDS = (
@@ -101,7 +105,7 @@ class GridVerifyReport:
                  f"{len(self.cases)} cases ({coverage})"]
         if self.ok:
             lines.append(
-                "  OK — grid pipeline matches the per-point path "
+                "  OK — grid pipeline matches cold per-size solves "
                 "bit-for-bit"
             )
             return "\n".join(lines)
@@ -207,13 +211,14 @@ def _replay_cases(workload_name: str, scale: float,
     return cases
 
 
-# -- check 3: grid sweep vs. per-point sweep ----------------------------------
+# -- check 3: grid sweep vs. cold per-size solves -----------------------------
 
 
 def allocation_differences(expected, actual) -> list[str]:
     """Every compared Allocation field where two decisions disagree.
 
-    ``expected`` is the per-point decision, ``actual`` the grid one;
+    ``expected`` is the cold per-size decision, ``actual`` the grid
+    one;
     see :data:`ALLOCATION_FIELDS` for the compared set.
     """
     differences = []
@@ -222,7 +227,7 @@ def allocation_differences(expected, actual) -> list[str]:
         actual_value = getattr(actual, field_name)
         if expected_value != actual_value:
             differences.append(
-                f"allocation.{field_name}: per-point "
+                f"allocation.{field_name}: cold "
                 f"{expected_value!r} != grid {actual_value!r}"
             )
     return differences
@@ -230,31 +235,26 @@ def allocation_differences(expected, actual) -> list[str]:
 
 def _sweep_cases(workload_name: str, scale: float, seed: int,
                  algorithms: tuple[str, ...]) -> list[VerifyCase]:
-    """Grid-vs-point cases across one workload's full sweep.
+    """Grid-vs-cold-solve cases across one workload's full sweep.
 
-    Both passes run serially on fresh in-memory artifact stores, so
-    neither can serve the other's results from a cache — every cell
-    is genuinely computed twice, once per scheduling shape.
+    The grid sweep and the per-size oracle run serially on separate
+    fresh in-memory artifact stores, so neither can serve the other's
+    results from a cache — every cell is genuinely computed twice.
     """
+    from repro.engine.runner import StageRunner, make_workbench
     from repro.evaluation.sweep import run_sweep
 
-    def sweep_pass(grid: bool):
-        previous = set_default_store(ArtifactStore())
-        try:
-            return run_sweep(
-                workload_name, algorithms=algorithms, scale=scale,
-                seed=seed, grid=grid,
-            )
-        finally:
-            set_default_store(previous)
-
-    expected_points = sweep_pass(grid=False)
-    actual_points = sweep_pass(grid=True)
+    with RunContext.current().replace(store=ArtifactStore()).installed():
+        actual_points = run_sweep(workload_name, algorithms=algorithms,
+                                  scale=scale, seed=seed)
+    _, bench = make_workbench(workload_name, scale, seed,
+                              runner=StageRunner(store=ArtifactStore()))
+    cold = {"casa": bench.run_casa, "steinke": bench.run_steinke,
+            "greedy": bench.run_greedy, "ross": bench.run_ross}
     cases: list[VerifyCase] = []
-    for expected_point, actual_point in zip(expected_points,
-                                            actual_points):
+    for actual_point in actual_points:
         for algorithm in algorithms:
-            expected = expected_point.result(algorithm)
+            expected = cold[algorithm](actual_point.spm_size)
             actual = actual_point.result(algorithm)
             differences = report_differences(expected.report,
                                              actual.report)
@@ -263,13 +263,13 @@ def _sweep_cases(workload_name: str, scale: float, seed: int,
             )
             if expected.energy.total != actual.energy.total:
                 differences.append(
-                    f"energy.total: per-point "
+                    f"energy.total: cold "
                     f"{expected.energy.total!r} != grid "
                     f"{actual.energy.total!r}"
                 )
             description = (
                 f"{workload_name}/{algorithm}"
-                f"@{expected_point.spm_size}"
+                f"@{actual_point.spm_size}"
             )
             cases.append(VerifyCase("sweep", description,
                                     tuple(differences)))

@@ -24,10 +24,8 @@ from repro.ilp.model import (
 from repro.ilp.branch_and_bound import BranchAndBoundSolver
 from repro.ilp.knapsack import knapsack_01
 from repro.ilp.scipy_backend import LpRelaxationSolver
-from repro.ilp.simplex import SimplexLpSolver
 
 __all__ = [
-    "SimplexLpSolver",
     "LinExpr",
     "Variable",
     "Constraint",

@@ -78,7 +78,6 @@ class BranchAndBoundSolver:
     def __init__(self, max_nodes: int = 200_000,
                  absolute_gap: float = 1e-6,
                  relative_gap: float = 0.0,
-                 lp_factory=LpRelaxationSolver,
                  max_seconds: float | None = None,
                  warm_start: dict[str, float] | None = None) -> None:
         self.max_nodes = max_nodes
@@ -87,10 +86,6 @@ class BranchAndBoundSolver:
         #: stop once the incumbent is proven within this relative
         #: distance of the best bound (0 = prove exact optimality).
         self.relative_gap = relative_gap
-        #: callable building the LP relaxation solver for a model —
-        #: :class:`LpRelaxationSolver` (HiGHS, default) or
-        #: :class:`repro.ilp.simplex.SimplexLpSolver`.
-        self.lp_factory = lp_factory
         #: candidate incumbent by variable name (see class docstring).
         self.warm_start = warm_start
 
@@ -133,7 +128,7 @@ class BranchAndBoundSolver:
         telemetry = SolveTelemetry()
         deadline = (time.monotonic() + self.max_seconds
                     if self.max_seconds is not None else None)
-        lp = self.lp_factory(model)
+        lp = LpRelaxationSolver(model)
         sense_mult = 1.0 if model.sense is Sense.MINIMIZE else -1.0
 
         root = lp.solve()

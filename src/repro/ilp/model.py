@@ -78,8 +78,8 @@ class SolveTelemetry:
             (rounding warm start, integral LP nodes and dives).
         dives_attempted: periodic diving-heuristic attempts.
         dives_succeeded: dives that produced a feasible integral point.
-        lp_iterations: simplex iterations (HiGHS) / pivots (built-in
-            backend) summed over every LP relaxation solved.
+        lp_iterations: HiGHS simplex iterations summed over every LP
+            relaxation solved.
         best_bound: the proven dual bound in the model's sense.
         trajectory: downsampled ``(node, incumbent, bound)`` points —
             the gap-over-nodes curve ``repro report`` renders.

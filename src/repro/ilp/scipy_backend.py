@@ -29,8 +29,8 @@ class LpSolution:
         objective: objective in the model's sense (``None`` unless
             optimal).
         values: assignment of every model variable.
-        iterations: simplex iterations the backend spent (HiGHS ``nit``
-            / built-in backend pivots).
+        iterations: simplex iterations the backend spent (HiGHS
+            ``nit``).
     """
 
     status: SolveStatus

@@ -7,7 +7,7 @@ design-space-exploration tool you can see inside:
   attributes, collected thread-safely and exported as Chrome-trace
   JSON (``chrome://tracing`` / Perfetto) or JSONL event logs;
 * :mod:`repro.obs.metrics` — a registry of counters, gauges and
-  histograms (simulated cache hits, simplex pivots, branch-and-bound
+  histograms (simulated cache hits, LP iterations, branch-and-bound
   nodes...) with mergeable log-bucket percentile sketches and
   snapshot/merge for worker processes;
 * :mod:`repro.obs.events` — structured cache eviction/miss event

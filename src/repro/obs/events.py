@@ -538,6 +538,7 @@ def audit_workload(workload_name: str, scale: float = 1.0,
     # Local imports: this module must stay importable from the cache
     # layer without dragging the whole pipeline in.
     from repro.core.conflict_graph import ConflictGraph
+    from repro.engine.context import RunContext
     from repro.engine.runner import make_workbench
     from repro.memory.hierarchy import (
         HierarchyConfig,
@@ -570,12 +571,9 @@ def audit_workload(workload_name: str, scale: float = 1.0,
     )
     hierarchy = HierarchyConfig(cache=cache_config)
     recorder = EventRecorder(audit=True, record_policy_state=True)
-    previous = set_recorder(recorder)
-    try:
+    with RunContext.current().replace(recorder=recorder).installed():
         simulator = InstructionMemorySimulator(image, hierarchy)
         report = simulator.run(bench.block_sequence)
-    finally:
-        set_recorder(previous)
     if resolved == "vector":
         from repro.memory.kernel.vector import simulate as kernel_simulate
 

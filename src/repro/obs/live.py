@@ -200,6 +200,11 @@ class ProgressBus:
 
     # -- heartbeat directory --------------------------------------------
 
+    @property
+    def heartbeat_dir(self) -> str | None:
+        """The attached worker heartbeat directory, if any."""
+        return self._heartbeat_dir
+
     def attach_heartbeat_dir(self, path: str | None) -> None:
         """Fold worker heartbeat files under *path* into snapshots."""
         with self._lock:

@@ -14,9 +14,10 @@ zero-overhead-when-disabled style as tracing and metrics:
   one comparison when none is installed.
 
 Worker processes do not inherit the parent's open file object.
-Instead the parent forwards :func:`active_log_spec` — a plain
-``(path, run_id)`` tuple — through the pool initializer, and workers
-reopen the same file in append mode via :func:`install_from_spec`.
+Instead the parent's run context forwards the log as a plain
+``(path, run_id)`` tuple (:func:`active_log_spec`) through the pool
+initializer, and workers reopen the same file in append mode via
+:func:`install_from_spec`.
 Lines are short (well under the POSIX ``PIPE_BUF`` atomicity bound),
 so concurrent appends from several processes interleave whole lines,
 never partial ones.
@@ -134,10 +135,11 @@ def install_from_spec(spec: tuple[str, str] | None) -> None:
     append mode with the same ``run_id`` and a ``worker-<pid>``
     source tag.  ``None`` (logging disabled in the parent) is a no-op.
     """
+    global _ACTIVE
     if spec is None:
         return
     path, run_id = spec
-    set_run_log(RunLog(path, run_id=run_id, source=f"worker-{os.getpid()}"))
+    _ACTIVE = RunLog(path, run_id=run_id, source=f"worker-{os.getpid()}")
 
 
 def log_event(event: str, **fields: Any) -> None:

@@ -1,7 +1,7 @@
 """Metrics registry: named counters, gauges and histograms.
 
 Instrumented code reports *what happened* — cache hits simulated,
-simplex pivots performed, branch-and-bound nodes explored — through
+LP iterations spent, branch-and-bound nodes explored — through
 three primitive types:
 
 * :class:`Counter` — monotonically increasing total (``inc``);

@@ -1,8 +1,8 @@
 """Self-healing sweep execution: retries, timeouts, pool restarts.
 
 :func:`map_points_healed` is the resilient sibling of
-:func:`repro.engine.parallel.map_points`: same design points, same
-deterministic input-order results, but each point is evaluated under a
+:func:`repro.engine.parallel.map_points`: same work units, same
+deterministic input-order results, but each unit is evaluated under a
 :class:`RetryPolicy` — bounded retry-with-backoff, an optional
 per-point timeout, and worker-crash detection with process-pool
 restart — and the sweep returns a :class:`HealedRun` of per-point
@@ -24,34 +24,29 @@ from __future__ import annotations
 
 import concurrent.futures
 import concurrent.futures.process
-import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.engine.context import RunContext, WorkerPayload
+from repro.engine.grid import GridChunk
 from repro.engine.parallel import (
-    POINT_ALGORITHMS,
-    PointSpec,
-    _active_fault_spec,
+    _check_algorithms,
+    _describe_unit,
     _evaluate_in_worker,
-    _evaluate_spec,
-    _init_worker,
+    _evaluate_unit,
     _setup_worker_live,
+    _start_pool,
     _teardown_worker_live,
 )
 from repro.engine.runner import RunRecord, StageRunner
-from repro.engine.store import default_store
-from repro.errors import ConfigurationError, InjectedFault, \
-    PointTimeoutError
+from repro.errors import InjectedFault, PointTimeoutError
 from repro.obs import metrics
-from repro.obs.events import active_recorder
 from repro.obs.live import note_total
-from repro.obs.logging import active_log_spec, active_run_id, log_event
-from repro.obs.metrics import active_registry
-from repro.obs.trace import get_collector
-from repro.resilience.faults import maybe_inject, set_fault_attempt
+from repro.obs.logging import active_run_id, log_event
+from repro.resilience.faults import set_fault_attempt
 
 if TYPE_CHECKING:
     from repro.core.pipeline import ExperimentResult
@@ -90,7 +85,7 @@ class PointOutcome:
 
     Attributes:
         index: position of the point in the input list.
-        point: the design point itself.
+        point: the work unit (a grid chunk) itself.
         status: one of :data:`OUTCOME_STATUSES` — ``ok`` (first try),
             ``retried`` (succeeded after >= 1 retry), ``degraded``
             (succeeded but a degradation ladder fired, e.g. the CASA
@@ -98,8 +93,8 @@ class PointOutcome:
         attempts: evaluation attempts consumed (>= 1).
         error: structured record of the last failure —
             ``{"type", "message", "site"}`` — or ``None``.
-        result: the experiment result (a result *list* when the work
-            unit was a grid chunk), or ``None`` when failed.
+        result: the chunk's per-capacity results, or ``None`` when
+            failed.
         wall_s: total wall time spent on this point across all
             attempts, in seconds.
         attempt_seconds: per-attempt wall times in attempt order, so
@@ -110,11 +105,11 @@ class PointOutcome:
     """
 
     index: int
-    point: PointSpec
+    point: GridChunk
     status: str
     attempts: int
     error: dict[str, str] | None = None
-    result: "ExperimentResult | None" = None
+    result: list["ExperimentResult"] | None = None
     wall_s: float = 0.0
     attempt_seconds: list[float] = field(default_factory=list)
     run_id: str | None = None
@@ -126,7 +121,7 @@ class PointOutcome:
 
     def describe(self) -> str:
         """One-line human-readable summary of this outcome."""
-        label = _describe_point(self.point)
+        label = _describe_unit(self.point)
         text = f"{label}: {self.status} after {self.attempts} attempt(s)"
         if self.error is not None:
             text += f" — {self.error['type']}: {self.error['message']}"
@@ -144,7 +139,7 @@ class HealedRun:
     outcomes: list[PointOutcome] = field(default_factory=list)
 
     @property
-    def results(self) -> list["ExperimentResult | None"]:
+    def results(self) -> list[list["ExperimentResult"] | None]:
         """Per-point results in input order (``None`` where failed)."""
         return [outcome.result for outcome in self.outcomes]
 
@@ -177,15 +172,6 @@ class HealedRun:
         return sum(outcome.retry_s for outcome in self.outcomes)
 
 
-def _describe_point(point) -> str:
-    """Short identifier of a point (or grid chunk) for error records."""
-    sizes = getattr(point, "spm_sizes", None)
-    if sizes is not None:
-        axis = "+".join(str(size) for size in sizes)
-        return f"{point.workload}/{point.algorithm}@[{axis}]"
-    return f"{point.workload}/{point.algorithm}@{point.spm_size}"
-
-
 def _error_record(error: BaseException) -> dict[str, str]:
     """The structured ``PointOutcome.error`` form of an exception."""
     return {
@@ -204,8 +190,8 @@ def _note_attempt_times(attempt_seconds: list[float] | None
     return sum(durations), durations
 
 
-def _finish_outcome(index: int, point: PointSpec, attempts: int,
-                    result: "ExperimentResult",
+def _finish_outcome(index: int, point: GridChunk, attempts: int,
+                    result: list["ExperimentResult"],
                     error: BaseException | None,
                     attempt_seconds: list[float] | None = None
                     ) -> PointOutcome:
@@ -213,14 +199,13 @@ def _finish_outcome(index: int, point: PointSpec, attempts: int,
 
     Distinguishes ``ok`` / ``retried`` / ``degraded`` and counts
     degraded points; *error* is the last failure before the
-    success, kept for the report.  A grid chunk's result is a list —
-    the outcome is ``degraded`` when *any* capacity step degraded.
+    success, kept for the report.  The outcome is ``degraded`` when
+    *any* capacity step of the chunk degraded.
     """
-    steps = result if isinstance(result, list) else [result]
     degraded = any(
         getattr(getattr(step, "allocation", None),
                 "solver_status", "") == "degraded"
-        for step in steps
+        for step in result
     )
     if degraded:
         metrics.inc("resilience.degraded_points")
@@ -238,13 +223,13 @@ def _finish_outcome(index: int, point: PointSpec, attempts: int,
     )
 
 
-def _failed_outcome(index: int, point: PointSpec, attempts: int,
+def _failed_outcome(index: int, point: GridChunk, attempts: int,
                     error: BaseException,
                     attempt_seconds: list[float] | None = None
                     ) -> PointOutcome:
     """Build (and count) the outcome of an exhausted point."""
     metrics.inc("resilience.failed_points")
-    log_event("point.failed", point=_describe_point(point),
+    log_event("point.failed", point=_describe_unit(point),
               attempts=attempts, error=type(error).__name__)
     wall, durations = _note_attempt_times(attempt_seconds)
     return PointOutcome(
@@ -254,9 +239,9 @@ def _failed_outcome(index: int, point: PointSpec, attempts: int,
     )
 
 
-def _evaluate_with_timeout(point: PointSpec, runner: StageRunner,
+def _evaluate_with_timeout(point: GridChunk, runner: StageRunner,
                            timeout_s: float | None
-                           ) -> "ExperimentResult":
+                           ) -> list["ExperimentResult"]:
     """Serial-path evaluation with an optional wall-clock bound.
 
     The bounded variant runs the evaluation on a daemon thread and
@@ -265,12 +250,12 @@ def _evaluate_with_timeout(point: PointSpec, runner: StageRunner,
     on).  Raises :class:`~repro.errors.PointTimeoutError` on timeout.
     """
     if timeout_s is None:
-        return _evaluate_spec(point, runner=runner)
+        return _evaluate_unit(point, runner=runner)
     box: dict[str, Any] = {}
 
     def target() -> None:
         try:
-            box["result"] = _evaluate_spec(point, runner=runner)
+            box["result"] = _evaluate_unit(point, runner=runner)
         except BaseException as error:  # noqa: BLE001 — forwarded below
             box["error"] = error
 
@@ -279,15 +264,15 @@ def _evaluate_with_timeout(point: PointSpec, runner: StageRunner,
     thread.join(timeout_s)
     if thread.is_alive():
         raise PointTimeoutError(
-            f"point {_describe_point(point)} exceeded {timeout_s:g}s",
-            point=_describe_point(point), seconds=timeout_s,
+            f"point {_describe_unit(point)} exceeded {timeout_s:g}s",
+            point=_describe_unit(point), seconds=timeout_s,
         )
     if "error" in box:
         raise box["error"]
     return box["result"]
 
 
-def _heal_serial(points: list[PointSpec], policy: RetryPolicy,
+def _heal_serial(points: list[GridChunk], policy: RetryPolicy,
                  record: RunRecord | None) -> HealedRun:
     """Serial healing loop: retry each point in-process."""
     runner = StageRunner(record=record)
@@ -308,7 +293,7 @@ def _heal_serial(points: list[PointSpec], policy: RetryPolicy,
                 if attempt + 1 < policy.max_attempts:
                     metrics.inc("resilience.retries")
                     log_event("point.retry",
-                              point=_describe_point(point),
+                              point=_describe_unit(point),
                               attempt=attempt + 1,
                               error=type(error).__name__)
                     time.sleep(policy.backoff_for(attempt))
@@ -328,13 +313,14 @@ def _heal_serial(points: list[PointSpec], policy: RetryPolicy,
     return HealedRun(outcomes)
 
 
-def _heal_pooled(points: list[PointSpec], jobs: int,
-                 policy: RetryPolicy, record: RunRecord | None,
-                 cache_dir: str | os.PathLike | None) -> HealedRun:
+def _heal_pooled(points: list[GridChunk], jobs: int,
+                 policy: RetryPolicy, record: RunRecord | None
+                 ) -> HealedRun:
     """Pool healing loop: per-point retries plus pool restarts.
 
     Raises whatever pool *creation* raises (including an injected
-    ``worker.spawn`` fault) — the caller degrades to the serial
+    ``worker.spawn`` fault, or a broken pool when the workers cannot
+    install the run context) — the caller degrades to the serial
     healing path, mirroring plain ``map_points``.  Once a pool exists,
     a broken pool (worker crash) or a per-point timeout restarts it
     and re-runs every unfinished point with its attempt counter
@@ -342,30 +328,21 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
     loop provably terminates.
     """
     n = len(points)
-    if cache_dir is None:
-        cache_dir = default_store().cache_dir
-    init_arg = str(cache_dir) if cache_dir is not None else None
-    collector = get_collector()
-    registry = active_registry()
-    recorder = active_recorder()
-    flags = (collector is not None, registry is not None,
-             recorder is not None)
     heartbeat_dir, bus = _setup_worker_live()
+    context = RunContext.current()
+    spec = context.worker_spec()
 
     def make_pool() -> concurrent.futures.ProcessPoolExecutor:
-        maybe_inject("worker.spawn", jobs=jobs)
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, n),
-            initializer=_init_worker,
-            initargs=(init_arg, _active_fault_spec(), heartbeat_dir,
-                      active_log_spec()),
-        )
+        if spec is None:
+            raise pickle.PicklingError(
+                "the artifact store cannot be rebuilt in a worker")
+        return _start_pool(min(jobs, n), spec)
 
     started = [0.0] * n
     durations: list[list[float]] = [[] for _ in range(n)]
 
     def submit(pool, index: int, attempt: int):
-        task = (points[index], *flags, attempt)
+        task = (points[index], attempt)
         started[index] = time.perf_counter()
         return pool.submit(_evaluate_in_worker, task)
 
@@ -377,7 +354,7 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
         _teardown_worker_live(heartbeat_dir, bus, absorb=False)
         raise
     outcomes: list[PointOutcome | None] = [None] * n
-    payloads: list[tuple | None] = [None] * n
+    payloads: list[WorkerPayload | None] = [None] * n
     attempts = [0] * n
     last_errors: list[BaseException | None] = [None] * n
     try:
@@ -420,9 +397,9 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
                 # point re-runs with its attempt advanced (injected
                 # first-attempt faults cannot recur).
                 error = PointTimeoutError(
-                    f"point {_describe_point(points[index])} exceeded "
+                    f"point {_describe_unit(points[index])} exceeded "
                     f"{policy.timeout_s:g}s",
-                    point=_describe_point(points[index]),
+                    point=_describe_unit(points[index]),
                     seconds=policy.timeout_s or 0.0,
                 )
                 for other in pending:
@@ -447,7 +424,7 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
                 if attempts[index] < policy.max_attempts:
                     metrics.inc("resilience.retries")
                     log_event("point.retry",
-                              point=_describe_point(points[index]),
+                              point=_describe_unit(points[index]),
                               attempt=attempts[index],
                               error=type(error).__name__)
                     time.sleep(policy.backoff_for(attempts[index] - 1))
@@ -472,7 +449,7 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
                 time.perf_counter() - started[index])
             payloads[index] = payload
             outcomes[index] = _finish_outcome(
-                index, points[index], attempts[index] + 1, payload[0],
+                index, points[index], attempts[index] + 1, payload.result,
                 last_errors[index], durations[index])
             pending.discard(index)
     finally:
@@ -480,18 +457,7 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
 
     # Fold worker observability back in input order, exactly like
     # plain map_points (failed points contribute nothing).
-    for payload in payloads:
-        if payload is None:
-            continue
-        _, counts, events, snapshot, event_snapshot = payload
-        if record is not None:
-            record.merge(counts)
-        if collector is not None and events:
-            collector.merge(events)
-        if registry is not None and snapshot:
-            registry.merge(snapshot)
-        if recorder is not None and event_snapshot:
-            recorder.merge(event_snapshot)
+    context.merge(payloads, record)
     _teardown_worker_live(heartbeat_dir, bus, absorb=True)
     final = [outcome for outcome in outcomes if outcome is not None]
     assert len(final) == n
@@ -499,13 +465,12 @@ def _heal_pooled(points: list[PointSpec], jobs: int,
 
 
 def map_points_healed(
-    points: list[PointSpec] | tuple[PointSpec, ...],
+    points: list[GridChunk] | tuple[GridChunk, ...],
     jobs: int = 1,
     policy: RetryPolicy | None = None,
     record: RunRecord | None = None,
-    cache_dir: str | os.PathLike | None = None,
 ) -> HealedRun:
-    """Evaluate *points* with self-healing; never raises per-point.
+    """Evaluate work units with self-healing; never raises per-point.
 
     The resilient counterpart of
     :func:`repro.engine.parallel.map_points`: failures are retried
@@ -517,17 +482,14 @@ def map_points_healed(
     instead of aborting the sweep.
 
     Args:
-        points: work units — design points and/or
-            :class:`~repro.engine.grid.GridChunk` capacity axes — in
-            the order outcomes are wanted (a chunk's outcome carries
-            the *list* of its per-capacity results, and the whole
+        points: :class:`~repro.engine.grid.GridChunk` work units, in
+            the order outcomes are wanted (an outcome carries the
+            *list* of its chunk's per-capacity results, and the whole
             chunk retries as one unit).
         jobs: worker processes; ``<= 1`` heals serially in-process.
         policy: retry/timeout policy (default :class:`RetryPolicy`).
         record: run record receiving merged per-stage counters from
             successful evaluations.
-        cache_dir: on-disk cache directory shared with workers;
-            defaults to the process-wide store's directory.
 
     Raises:
         ConfigurationError: for an unknown algorithm (checked up
@@ -535,21 +497,18 @@ def map_points_healed(
     """
     points = list(points)
     policy = policy if policy is not None else RetryPolicy()
-    for point in points:
-        if point.algorithm not in POINT_ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {point.algorithm!r}; choose from "
-                f"{POINT_ALGORITHMS}"
-            )
+    _check_algorithms(points)
     note_total(len(points))
     log_event("heal.start", units=len(points), jobs=jobs,
               max_attempts=policy.max_attempts)
     if jobs > 1 and len(points) > 1:
         try:
-            return _heal_pooled(points, jobs, policy, record, cache_dir)
-        except (OSError, pickle.PicklingError, InjectedFault):
+            return _heal_pooled(points, jobs, policy, record)
+        except (OSError, pickle.PicklingError, InjectedFault,
+                concurrent.futures.process.BrokenProcessPool):
             # No usable multiprocessing (restricted sandbox,
-            # unpicklable payload, injected spawn fault): heal
-            # serially instead, same results.
+            # unpicklable payload, injected spawn fault, workers that
+            # cannot install the run context): heal serially instead,
+            # same results.
             pass
     return _heal_serial(points, policy, record)

@@ -47,14 +47,15 @@ import concurrent.futures
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Hashable
 
 from repro.api import Session
+from repro.engine.context import RunContext
 from repro.engine.grid import GridChunk
-from repro.engine.store import ArtifactStore, set_default_store
+from repro.engine.store import ArtifactStore
 from repro.io.serde import (
     allocation_to_dict,
     conflict_graph_to_dict,
@@ -66,11 +67,10 @@ from repro.obs.live import (
     ProgressBus,
     ProgressSnapshot,
     render_prometheus,
-    set_progress_sink,
 )
-from repro.obs.logging import RunLog, log_event, new_run_id, set_run_log
-from repro.obs.metrics import MetricsRegistry, set_registry
-from repro.resilience.faults import FaultPlan, set_fault_plan
+from repro.obs.logging import RunLog, log_event, new_run_id
+from repro.obs.metrics import MetricsRegistry
+from repro.resilience.faults import FaultPlan
 from repro.resilience.healing import (
     HealedRun,
     PointOutcome,
@@ -199,8 +199,9 @@ class AllocationService:
     """Session verbs as a long-running, batching, multi-tenant service.
 
     Lifecycle: :meth:`start` installs the service's registry, progress
-    bus, optional fault plan and optional run log as the process-wide
-    active instruments (returning the previous ones to :meth:`stop`);
+    bus, optional fault plan and optional run log as one
+    :class:`~repro.engine.context.RunContext` (which :meth:`stop`
+    unwinds);
     the HTTP daemon (:mod:`repro.serve.daemon`) then feeds
     :meth:`handle` from its event loop.
     """
@@ -231,7 +232,7 @@ class AllocationService:
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-exec")
         self._started = False
-        self._previous: dict[str, Any] = {}
+        self._installed = ExitStack()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -239,15 +240,16 @@ class AllocationService:
         """Install the service's instruments process-wide (idempotent)."""
         if self._started:
             return
-        self._previous["registry"] = set_registry(self.registry)
-        self._previous["sink"] = set_progress_sink(self.bus)
+        slots: dict[str, Any] = {"registry": self.registry,
+                                 "sink": self.bus}
         if self.config.fault_spec:
-            self._previous["plan"] = set_fault_plan(
-                FaultPlan.from_spec(self.config.fault_spec))
+            slots["fault_plan"] = FaultPlan.from_spec(
+                self.config.fault_spec)
         if self.config.log_path:
-            self._previous["log"] = set_run_log(
-                RunLog(self.config.log_path, run_id=self.run_id,
-                       source="serve"))
+            slots["run_log"] = RunLog(self.config.log_path,
+                                      run_id=self.run_id, source="serve")
+        self._installed.enter_context(
+            RunContext.current().replace(**slots).installed())
         self._started = True
         log_event("serve.start", jobs=self.config.jobs,
                   max_batch=self.config.max_batch,
@@ -259,13 +261,7 @@ class AllocationService:
             return
         log_event("serve.stop")
         self._executor.shutdown(wait=True)
-        set_registry(self._previous.get("registry"))
-        set_progress_sink(self._previous.get("sink"))
-        if "plan" in self._previous:
-            set_fault_plan(self._previous["plan"])
-        if "log" in self._previous:
-            set_run_log(self._previous["log"])
-        self._previous = {}
+        self._installed.close()
         self._started = False
 
     # -- tenant stores --------------------------------------------------------
@@ -287,14 +283,10 @@ class AllocationService:
             return ArtifactStore(backend=f"disk:{root / tenant}")
         return ArtifactStore(backend=spec)
 
-    @contextmanager
     def _using_store(self, tenant: str):
         """Swap the process default store to *tenant*'s for a batch."""
-        previous = set_default_store(self.tenant_store(tenant))
-        try:
-            yield
-        finally:
-            set_default_store(previous)
+        return RunContext.current().replace(
+            store=self.tenant_store(tenant)).installed()
 
     # -- request handling -----------------------------------------------------
 

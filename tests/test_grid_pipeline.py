@@ -5,7 +5,8 @@ optimisation: :func:`~repro.memory.kernel.grid.simulate_grid` must
 match per-configuration simulation bit for bit, a warm-started branch
 & bound must return the cold solve's exact optimum, and a sweep
 scheduled as :class:`~repro.engine.grid.GridChunk` work units must
-reproduce the per-point path's reports and allocations byte for byte.
+reproduce cold per-size ``Workbench`` evaluations' reports and
+allocations byte for byte.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from repro.core.casa import CasaAllocator
 from repro.core.pipeline import Workbench, WorkbenchConfig
 from repro.engine.grid import CHUNK_ALGORITHMS, GridChunk, \
     evaluate_chunk
-from repro.engine.parallel import PointSpec, evaluate_point, \
-    map_points
+from repro.engine.parallel import map_points
 from repro.engine.runner import StageRunner, make_workbench
 from repro.engine.store import ArtifactStore, set_default_store
 from repro.errors import ConfigurationError
+from repro.evaluation.verify_grid import allocation_differences
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import HierarchyConfig, simulate
 from repro.memory.kernel import SweepGrid, compile_stream, \
@@ -178,7 +179,7 @@ class TestSimulateImageGrid:
 
 
 class TestGridChunks:
-    """GridChunk scheduling reproduces the per-point path exactly."""
+    """GridChunk scheduling reproduces cold per-size solves exactly."""
 
     def _fresh(self, work):
         previous = set_default_store(ArtifactStore())
@@ -191,16 +192,17 @@ class TestGridChunks:
         chunk = GridChunk(workload="tiny", spm_sizes=(64, 128),
                           algorithm="casa", scale=0.2)
         from_chunk = self._fresh(lambda: evaluate_chunk(chunk))
-        from_points = self._fresh(lambda: [
-            evaluate_point(PointSpec("tiny", size, "casa", scale=0.2))
-            for size in (64, 128)
-        ])
+        _, bench = make_workbench(
+            "tiny", 0.2, 0, runner=StageRunner(store=ArtifactStore()))
+        from_points = [bench.run_casa(size) for size in (64, 128)]
         assert len(from_chunk) == len(from_points)
         for single, grid_result in zip(from_points, from_chunk):
             assert not report_differences(single.report,
                                           grid_result.report)
             assert single.allocation.spm_resident == \
                 grid_result.allocation.spm_resident
+            assert not allocation_differences(single.allocation,
+                                              grid_result.allocation)
             assert single.energy.total == grid_result.energy.total
 
     def test_chunk_rejects_unknown_algorithm(self):
@@ -211,15 +213,17 @@ class TestGridChunks:
                                      algorithm="nonsense"))
 
     def test_map_points_mixes_chunks_and_points(self):
+        """A design point is a one-size chunk beside a longer axis."""
         units = [
             GridChunk(workload="tiny", spm_sizes=(64, 128),
                       algorithm="greedy", scale=0.2),
-            PointSpec("tiny", 64, "greedy", scale=0.2),
+            GridChunk(workload="tiny", spm_sizes=(64,),
+                      algorithm="greedy", scale=0.2),
         ]
         results = self._fresh(lambda: map_points(units))
         assert isinstance(results[0], list) and len(results[0]) == 2
-        assert not isinstance(results[1], list)
-        assert results[0][0].energy.total == results[1].energy.total
+        assert isinstance(results[1], list) and len(results[1]) == 1
+        assert results[0][0].energy.total == results[1][0].energy.total
 
     def test_healed_chunk_retries_as_one_unit(self):
         from repro.resilience.faults import FaultPlan, set_fault_plan

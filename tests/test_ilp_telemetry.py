@@ -13,7 +13,6 @@ from repro.ilp.model import (
     relative_gap,
 )
 from repro.ilp.scipy_backend import LpRelaxationSolver
-from repro.ilp.simplex import SimplexLpSolver
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 
@@ -92,11 +91,6 @@ class TestSolveTelemetry:
 
 
 class TestLpIterationCounts:
-    def test_simplex_reports_pivots(self):
-        model = knapsack()
-        solution = SimplexLpSolver(model).solve()
-        assert solution.iterations > 0
-
     def test_scipy_backend_reports_iterations(self):
         model = knapsack()
         solution = LpRelaxationSolver(model).solve()

@@ -1,4 +1,5 @@
-"""Lightweight lint enforced as tests: no unused imports, no tabs.
+"""Lightweight lint enforced as tests: no unused imports, no tabs, and
+only the run-context module writes the process-wide instrument slots.
 
 Keeps the source tree tidy without external tooling (the environment is
 offline); the checker is a small AST walk, deliberately conservative
@@ -77,3 +78,41 @@ def test_no_tabs_and_no_trailing_whitespace(path):
         if line != line.rstrip():
             offenders.append(f"{number}: trailing whitespace")
     assert not offenders, f"{path.name}: {offenders[:5]}"
+
+
+#: Primitives that write a process-wide instrument slot.
+SLOT_WRITERS = frozenset({
+    "set_default_store", "set_fault_plan", "set_collector",
+    "set_registry", "set_recorder", "set_progress_sink", "set_run_log",
+    "install_from_spec",
+})
+
+#: The one module allowed to call :data:`SLOT_WRITERS`.
+RUN_CONTEXT = SRC / "engine" / "context.py"
+
+
+def called_names(tree):
+    """Yield (name, line) for every call by bare or attribute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id, node.lineno
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path != RUN_CONTEXT],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_only_the_run_context_writes_slots(path):
+    tree = ast.parse(path.read_text())
+    offenders = [
+        f"{line}: {name}" for name, line in called_names(tree)
+        if name in SLOT_WRITERS
+    ]
+    assert not offenders, (
+        f"{path.name}: install through RunContext instead of "
+        f"{offenders}"
+    )
