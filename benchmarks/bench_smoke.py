@@ -450,6 +450,81 @@ def test_grid_replays_policy_configs_without_leaving_kernel(policy):
     assert registry.value("sim.kernel.fallbacks") == 0
 
 
+@pytest.mark.parametrize("exhibit", ["fig5", "table1"])
+def test_loop_cache_exhibits_stay_on_the_kernel(exhibit, tmp_path):
+    """The smoke exhibits' Ross points replay on the vector kernel.
+
+    Under ``auto`` every simulation of the chunks — the loop-cache
+    evaluation of the ``ross`` allocator included — takes the vector
+    path: each ``sim.hierarchy`` span names the ``vector`` backend and
+    ``sim.kernel.fallbacks`` stays zero.
+    """
+    from dataclasses import replace
+
+    points = [replace(chunk, backend="auto")
+              for chunk in EXHIBIT_POINTS[exhibit]]
+    _, collector, registry = _observed_run(points, tmp_path / "cache")
+    backends = [event.args.get("backend")
+                for event in collector.events()
+                if event.name == "sim.hierarchy"]
+    assert len(backends) == 1 + len(points), backends
+    assert set(backends) == {"vector"}, backends
+    assert registry.value("sim.kernel.fallbacks") == 0
+
+
+def test_event_recorder_diverts_loop_cache_runs():
+    """An active event recorder still sends a loop-cache run to the
+    reference interpreter, so ``repro audit`` sees every probe event.
+
+    The diverted run is counted in ``sim.kernel.fallbacks`` and its
+    report and event counts equal an explicit reference run's.
+    """
+    import random
+
+    from repro.memory.hierarchy import HierarchyConfig, simulate
+    from repro.memory.kernel import report_differences
+    from repro.memory.kernel.verify import LOOP_CACHE, \
+        straddling_regions, workload_images
+    from repro.obs.events import EventRecorder, set_recorder
+
+    bench, images = workload_images("tiny", SMOKE_SCALE, 0)
+    _, image, _ = images[0]
+    regions = straddling_regions(random.Random(0), [
+        (segment.address, segment.num_words)
+        for plan in image.all_plans().values()
+        for segment in plan.segments
+    ], max_regions=2)
+    hierarchy = HierarchyConfig(cache=bench.config.cache,
+                                loop_cache=LOOP_CACHE)
+
+    def recorded(backend):
+        recorder = EventRecorder()
+        collector = TraceCollector()
+        registry = MetricsRegistry()
+        previous = (set_recorder(recorder), set_collector(collector),
+                    set_registry(registry))
+        try:
+            report = simulate(image, hierarchy, bench.block_sequence,
+                              loop_regions=regions, backend=backend)
+        finally:
+            set_recorder(previous[0])
+            set_collector(previous[1])
+            set_registry(previous[2])
+        [event] = [event for event in collector.events()
+                   if event.name == "sim.hierarchy"]
+        return report, recorder, event.args["backend"], \
+            registry.value("sim.kernel.fallbacks")
+
+    ref_report, ref_recorder, _, _ = recorded("reference")
+    auto_report, auto_recorder, backend, fallbacks = recorded("auto")
+    assert backend == "reference"
+    assert fallbacks == 1
+    assert auto_report.lc_accesses > 0
+    assert report_differences(ref_report, auto_report) == []
+    assert auto_recorder.total_events == ref_recorder.total_events > 0
+    assert dict(auto_recorder.counts) == dict(ref_recorder.counts)
+
+
 def test_bench_record_then_compare_gates_on_baseline(tmp_path):
     """``repro bench record`` + ``compare`` vs the committed baseline.
 

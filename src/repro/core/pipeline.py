@@ -286,12 +286,15 @@ class Workbench:
         return artifact.stream
 
     def _simulate_image(self, image: LinkedImage,
-                        hierarchy: HierarchyConfig) -> SimulationReport:
+                        hierarchy: HierarchyConfig,
+                        loop_regions=None) -> SimulationReport:
         """Simulate *image* under the configured backend.
 
         When the backend may take the vector path, the compiled fetch
         stream is resolved through the artifact store first so a sweep
-        compiles each layout once.
+        compiles each layout once.  *loop_regions* are preloaded into
+        the hierarchy's loop cache; the vector path masks the stream
+        with them for this run only and stores nothing.
         """
         stream = None
         if resolve_backend(self._config.backend) != "reference":
@@ -299,6 +302,7 @@ class Workbench:
         return simulate(
             image, hierarchy, self._block_sequence,
             spm_base=self._config.spm_base,
+            loop_regions=loop_regions,
             backend=self._config.backend,
             stream=stream,
         )
@@ -409,12 +413,9 @@ class Workbench:
         hierarchy = HierarchyConfig(
             cache=self._config.cache, loop_cache=lc_config
         )
-        report = simulate(
-            self._baseline_image,
-            hierarchy,
-            self._block_sequence,
+        report = self._simulate_image(
+            self._baseline_image, hierarchy,
             loop_regions=list(allocation.loop_regions),
-            backend="reference",
         )
         model = build_energy_model(hierarchy)
         return ExperimentResult(

@@ -352,12 +352,10 @@ class InstructionMemorySimulator:
         the words *outside* the regions go through the cache here.
         """
         assert self.loop_cache is not None
+        regions = self.loop_cache.regions
         for offset in range(segment.num_words):
             address = segment.address + 4 * offset
-            in_region = any(
-                region.covers(address)
-                for region in self.loop_cache.regions
-            )
+            in_region = any(region.covers(address) for region in regions)
             if not in_region:
                 self._fetch_cached(address, 1, segment.mo_name, sinks)
 
@@ -409,7 +407,6 @@ class InstructionMemorySimulator:
 def _choose_backend(
     backend: str,
     config: HierarchyConfig,
-    loop_regions: list[LoopRegion] | None,
     block_phases: dict[str, int] | None,
 ) -> str:
     """Pick the concrete simulator for one run.
@@ -423,9 +420,7 @@ def _choose_backend(
     """
     if backend == "reference":
         return "reference"
-    reason = unsupported_reason(
-        config, block_phases=block_phases, loop_regions=loop_regions
-    )
+    reason = unsupported_reason(config, block_phases=block_phases)
     if reason is None and active_recorder() is not None:
         reason = "event recording requires the reference simulator"
         if backend == "vector":
@@ -465,7 +460,7 @@ def simulate(
     per-fetch inner loop itself carries no instrumentation.
     """
     backend = resolve_backend(backend)
-    chosen = _choose_backend(backend, config, loop_regions, block_phases)
+    chosen = _choose_backend(backend, config, block_phases)
     with span("sim.hierarchy", blocks=len(block_sequence),
               backend=chosen) as sim_span:
         report = None
@@ -482,7 +477,8 @@ def simulate(
                         image, block_sequence, spm_base=spm_base
                     )
                 report = simulate_stream(stream, config,
-                                         spm_base=spm_base)
+                                         spm_base=spm_base,
+                                         loop_regions=loop_regions)
             except (InjectedFault, KernelUnsupported):
                 metrics.inc("sim.kernel.fallbacks")
                 metrics.inc("resilience.kernel_fallbacks")

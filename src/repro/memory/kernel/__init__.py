@@ -18,6 +18,14 @@ trades the interpreter for three array passes:
    bit-identical to the reference simulator's (same counters, same
    dict/Counter insertion orders).
 
+A preloaded loop cache is static, so a loop-cache hierarchy replays a
+transient region-masked view of the same stream
+(:meth:`~repro.memory.kernel.stream.FetchStream.with_loop_regions`):
+covered words count as loop-cache accesses and probe nothing.  Overlay
+phases and the ``random``/``arc``/``opt`` policies stay on the
+reference interpreter, which is also every differential check's
+oracle.
+
 :func:`~repro.memory.kernel.vector.simulate_many` batches several cache
 configurations over one stream (the fig4/DSE sweep shape); since the
 grid refactor it delegates to

@@ -117,7 +117,7 @@ class SweepGrid:
             configs (no replay needed at all), and ``fallback`` lists
             configs that must be replayed one at a time — non-stack
             policies (FIFO/LFU/2Q) per-config on the vector kernel,
-            kernel-unsupported ones (ARC/OPT/random, loop caches) on
+            kernel-unsupported ones (ARC/OPT/random) on
             whatever the caller routes them to.
         """
         groups: dict[tuple[int, int], list[int]] = {}

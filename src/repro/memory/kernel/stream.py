@@ -14,11 +14,17 @@ the fall-through edge.
 Line-probe expansion (one entry per cache-line touch) depends only on
 the line size, so it is memoised on the stream and shared across every
 cache geometry of a sweep.
+
+A preloaded loop cache is *static*: its regions never change during a
+run, so which words it serves is a pure function of the fetch address.
+:meth:`FetchStream.with_loop_regions` therefore compiles a region table
+into a per-segment mask over an already compiled stream instead of
+re-walking the fetch plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,6 +82,8 @@ class FetchStream:
         seg_on_spm: per-segment scratchpad residency flag (bool).
         num_blocks: executed basic blocks (for the report).
         spm_base: scratchpad base address used by the layout.
+        seg_on_lc: per-segment loop-cache flag (bool) of a view made by
+            :meth:`with_loop_regions`; ``None`` on compiled streams.
     """
 
     mo_names: tuple[str, ...]
@@ -85,6 +93,7 @@ class FetchStream:
     seg_on_spm: np.ndarray
     num_blocks: int
     spm_base: int
+    seg_on_lc: np.ndarray | None = None
     _probe_cache: dict[int, ProbeStream] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -109,6 +118,9 @@ class FetchStream:
             and np.array_equal(self.seg_addr, other.seg_addr)
             and np.array_equal(self.seg_words, other.seg_words)
             and np.array_equal(self.seg_on_spm, other.seg_on_spm)
+            and (self.seg_on_lc is None) == (other.seg_on_lc is None)
+            and (self.seg_on_lc is None
+                 or np.array_equal(self.seg_on_lc, other.seg_on_lc))
         )
 
     @property
@@ -125,6 +137,94 @@ class FetchStream:
     def spm_words(self) -> int:
         """Words served by the scratchpad."""
         return int(self.seg_words[self.seg_on_spm].sum())
+
+    def cache_path(self) -> np.ndarray:
+        """Mask of the segments fetched through the I-cache path.
+
+        Everything the scratchpad and (on a :meth:`with_loop_regions`
+        view) the loop cache do not serve.
+        """
+        if self.seg_on_lc is None:
+            return ~self.seg_on_spm
+        return ~(self.seg_on_spm | self.seg_on_lc)
+
+    def with_loop_regions(self, regions) -> "FetchStream":
+        """A transient view of the stream behind a preloaded loop cache.
+
+        Replays the reference controller
+        (:meth:`repro.memory.loopcache.LoopCache.access_words`) per
+        segment.  A non-scratchpad segment wholly inside the regions
+        becomes one loop-cache segment, one wholly outside stays as it
+        is, and one straddling a region boundary becomes a loop-cache
+        segment of its covered words followed by one single-word cache
+        segment per uncovered word, in address order.  The reference
+        probes those words one at a time
+        (``InstructionMemorySimulator._fetch_mixed_segment``); merging
+        them would be exact under LRU/FIFO but not under LFU/2Q, where
+        each extra hit bumps frequency or queue state.
+
+        Segment order and memory objects are kept, so
+        :meth:`mo_first_seen` is unchanged.  The view has its own probe
+        memo and is not stored anywhere: it lives as long as the one
+        replay that asks for it.
+
+        Args:
+            regions: non-overlapping preloaded regions (objects with
+                ``start`` and ``end`` byte addresses).
+        """
+        addr = self.seg_addr
+        words = self.seg_words
+        covered = np.zeros(self.num_segments, dtype=np.int64)
+        for region in regions:
+            # Word k of a segment is covered iff start <= a + 4k < end.
+            low = np.clip(-((addr - region.start) // _WORD), 0, words)
+            high = np.clip(-((addr - region.end) // _WORD), 0, words)
+            covered += np.maximum(high - low, 0)
+        covered[self.seg_on_spm] = 0
+        on_lc = ~self.seg_on_spm & (covered == words)
+        mixed = (covered > 0) & (covered < words)
+
+        if not mixed.any():
+            return replace(self, seg_on_lc=on_lc, _probe_cache={},
+                           _first_seen=self._first_seen)
+
+        # Words outside the regions of every straddling segment, in
+        # chronological order.
+        mixed_idx = np.flatnonzero(mixed)
+        mixed_words = words[mixed_idx]
+        word_seg = np.repeat(mixed_idx, mixed_words)
+        offset = np.arange(word_seg.shape[0], dtype=np.int64) - np.repeat(
+            np.cumsum(mixed_words) - mixed_words, mixed_words
+        )
+        word_addr = addr[word_seg] + _WORD * offset
+        inside = np.zeros(word_addr.shape[0], dtype=bool)
+        for region in regions:
+            inside |= (word_addr >= region.start) & (word_addr < region.end)
+        spill_addr = word_addr[~inside]
+
+        spill = np.where(mixed, words - covered, 0)
+        pieces = 1 + spill
+        head = np.cumsum(pieces) - pieces
+        is_head = np.zeros(int(pieces.sum()), dtype=bool)
+        is_head[head] = True
+
+        seg_addr = np.empty(is_head.shape[0], dtype=np.int64)
+        seg_addr[head] = addr
+        seg_addr[~is_head] = spill_addr
+        seg_words = np.ones(is_head.shape[0], dtype=np.int64)
+        seg_words[head] = np.where(mixed, covered, words)
+        seg_on_lc = np.zeros(is_head.shape[0], dtype=bool)
+        seg_on_lc[head] = on_lc | mixed
+        return replace(
+            self,
+            seg_mo=np.repeat(self.seg_mo, pieces),
+            seg_addr=seg_addr,
+            seg_words=seg_words,
+            seg_on_spm=np.repeat(self.seg_on_spm, pieces),
+            seg_on_lc=seg_on_lc,
+            _probe_cache={},
+            _first_seen=self._first_seen,
+        )
 
     def mo_first_seen(self) -> list[int]:
         """Memory-object indices in order of first fetch (memoised).
@@ -145,6 +245,8 @@ class FetchStream:
     def probes(self, line_size: int) -> ProbeStream:
         """Expand the cache-path segments into line probes (memoised).
 
+        Scratchpad and loop-cache segments issue no probe.
+
         A segment of ``w`` words starting at byte ``a`` touches the
         lines ``a // line_size .. (a + 4w - 4) // line_size``; each
         probe serves the words of the segment that fall inside its
@@ -158,7 +260,7 @@ class FetchStream:
             metrics.inc("sim.kernel.stream_reuse")
             return cached
 
-        mask = ~self.seg_on_spm
+        mask = self.cache_path()
         addr = self.seg_addr[mask]
         words = self.seg_words[mask]
         mo = self.seg_mo[mask]

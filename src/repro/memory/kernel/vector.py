@@ -18,11 +18,17 @@ Two replay strategies, both bit-identical to
   ways in ascending order before ever evicting, making line <-> way a
   bijection within each set.
 
+A preloaded loop cache is static, so a loop-cache hierarchy is replayed
+over a region-masked view of the same stream
+(:meth:`~repro.memory.kernel.stream.FetchStream.with_loop_regions`):
+covered words become loop-cache accesses and never probe the cache.
+
 ARC and OPT track state beyond the resident ways (ghost lists, a
 next-use oracle), and seeded random replacement is inherently
 sequential; all three stay on the reference interpreter via the
 ``auto`` fallback matrix (counted in ``sim.kernel.fallbacks`` —
-fallback cost measured in ``docs/POLICIES.md``).
+fallback cost measured in ``docs/POLICIES.md``), as do phase-tracked
+(overlay) runs.
 
 Conflict events carry their global probe index, so the report's
 ``conflict_misses`` Counter is rebuilt in the reference simulator's
@@ -37,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.memory.cache import CacheConfig
 from repro.memory.kernel.stream import FetchStream, compile_stream
+from repro.memory.loopcache import LoopCache
 from repro.memory.stats import MemoryObjectStats, SimulationReport
 from repro.obs import metrics
 from repro.obs.trace import span
@@ -51,29 +58,24 @@ SUPPORTED_POLICIES = ("lru", "fifo", "lfu", "2q")
 class KernelUnsupported(SimulationError):
     """The vector kernel cannot replay this configuration exactly.
 
-    Raised for loop-cache hierarchies, phase-tracked runs and
-    replacement policies outside :data:`SUPPORTED_POLICIES`
-    (``random``, ``arc``, ``opt``); the ``auto`` backend catches it
-    and falls back to the reference simulator.
+    Raised for phase-tracked runs and replacement policies outside
+    :data:`SUPPORTED_POLICIES` (``random``, ``arc``, ``opt``); the
+    ``auto`` backend catches it and falls back to the reference
+    simulator.  Loop-cache hierarchies are supported.
     """
 
 
-def unsupported_reason(
-    config,
-    block_phases=None,
-    loop_regions=None,
-) -> str | None:
+def unsupported_reason(config, block_phases=None) -> str | None:
     """Why the kernel cannot handle a run, or ``None`` if it can.
+
+    Phase-tracked (overlay) runs and replacement policies outside
+    :data:`SUPPORTED_POLICIES` are unsupported; a loop cache, with or
+    without preloaded regions, is not a reason.
 
     Args:
         config: a :class:`~repro.memory.hierarchy.HierarchyConfig`.
         block_phases: phase map of the intended run, if any.
-        loop_regions: preloaded loop regions of the intended run.
     """
-    if config.loop_cache is not None:
-        return "loop-cache hierarchies use the reference simulator"
-    if loop_regions:
-        return "loop regions require the reference simulator"
     if block_phases is not None:
         return "phase-tracked (overlay) runs use the reference simulator"
     for cache in (config.cache, config.l2_cache):
@@ -378,6 +380,10 @@ def assemble_report(
     spm_mask = stream.seg_on_spm
 
     fetches = _counts(seg_mo, num_mos, seg_words)
+    lc_accesses = np.zeros(num_mos, dtype=np.int64)
+    if stream.seg_on_lc is not None:
+        lc_mask = stream.seg_on_lc
+        lc_accesses = _counts(seg_mo[lc_mask], num_mos, seg_words[lc_mask])
 
     spm_accesses = np.zeros(num_mos, dtype=np.int64)
     if spm_mask.any():
@@ -404,7 +410,7 @@ def assemble_report(
     l2_hits = 0
     l2_misses = 0
     if config.cache is None:
-        cache_mask = ~spm_mask
+        cache_mask = stream.cache_path()
         cache_misses = _counts(
             seg_mo[cache_mask], num_mos, seg_words[cache_mask]
         )
@@ -444,12 +450,17 @@ def assemble_report(
             name=names[mo_idx],
             fetches=int(fetches[mo_idx]),
             spm_accesses=int(spm_accesses[mo_idx]),
+            lc_accesses=int(lc_accesses[mo_idx]),
             cache_hits=int(cache_hits[mo_idx]),
             cache_misses=int(cache_misses[mo_idx]),
             compulsory_misses=int(compulsory[mo_idx]),
         )
     report.conflict_misses = conflicts
     report.phase_conflicts = phase_conflicts
+    if config.loop_cache is not None:
+        # The controller compares every non-scratchpad fetch against
+        # its region table, served or not.
+        report.lc_controller_checks = int(seg_words[~spm_mask].sum())
     report.main_memory_words = main_memory_words
     report.l2_hits = l2_hits
     report.l2_misses = l2_misses
@@ -462,6 +473,7 @@ def simulate_stream(
     stream: FetchStream,
     config,
     spm_base: int | None = None,
+    loop_regions=None,
 ) -> SimulationReport:
     """Replay a compiled stream through a hierarchy configuration.
 
@@ -475,19 +487,36 @@ def simulate_stream(
         config: a :class:`~repro.memory.hierarchy.HierarchyConfig`.
         spm_base: scratchpad base address override (defaults to the
             base recorded in the stream).
+        loop_regions: regions preloaded into ``config.loop_cache``;
+            the replay runs over
+            :meth:`~repro.memory.kernel.stream.FetchStream.with_loop_regions`.
 
     Raises:
         KernelUnsupported: for configurations the kernel cannot replay
             exactly (see :func:`unsupported_reason`).
+        ConfigurationError: on loop regions without a loop cache,
+            exactly as the reference simulator.
+        AllocationError: on regions the loop cache cannot hold,
+            exactly as the reference simulator.
         SimulationError: on scratchpad mapping violations, exactly as
             the reference simulator.
     """
     reason = unsupported_reason(config)
     if reason is not None:
         raise KernelUnsupported(reason)
+    if config.loop_cache is not None:
+        # Building the controller applies the reference's table-size,
+        # capacity and overlap checks to the regions.
+        loop_regions = LoopCache(config.loop_cache, loop_regions).regions
+    elif loop_regions:
+        raise ConfigurationError(
+            "loop regions given but no loop cache configured"
+        )
 
     with span("sim.kernel.replay", segments=stream.num_segments,
               words=stream.total_words) as replay_span:
+        if loop_regions:
+            stream = stream.with_loop_regions(loop_regions)
         probes = None
         replay = None
         if config.cache is not None:

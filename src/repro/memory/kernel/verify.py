@@ -12,12 +12,17 @@ independent directions:
    random line-probe sequences through both the reference
    :class:`~repro.memory.cache.Cache` and the kernel's replay,
    comparing every per-probe hit/miss outcome and the full conflict
-   attribution.
+   attribution.  Every :data:`REGION_TRIAL_EVERY`-th trial instead
+   replays random fetch segments behind a loop cache with random
+   region boundaries (:class:`SegmentImage`) through both backends.
 2. **End-to-end workload replay** — committed workloads are simulated
    under a grid of hierarchy configurations (direct-mapped and
    set-associative, every kernel-supported policy, several line
    sizes, with and without a scratchpad and an L2) through both
-   backends, and the two reports are compared field by field.
+   backends, and the two reports are compared field by field.  The
+   baseline image is also replayed behind a preloaded loop cache,
+   with the Ross allocator's regions and with seeded regions that
+   straddle segment boundaries.
 3. **Audit cross-check** — the conflict graph built from a
    *vector-backend* report is audited against the event stream the
    *reference* simulator actually emitted
@@ -32,13 +37,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.memory.cache import Cache, CacheConfig
 from repro.memory.kernel.vector import _conflict_counters, _replay
+from repro.memory.loopcache import LoopCacheConfig, LoopRegion
 from repro.memory.stats import SimulationReport
 from repro.obs.trace import span
+from repro.traces.layout import BlockFetchPlan, FetchSegment
 
 #: Default workloads of the end-to-end and audit checks.
 DEFAULT_WORKLOADS = ("tiny", "adpcm")
@@ -48,6 +56,13 @@ DEFAULT_WORKLOADS = ("tiny", "adpcm")
 LINE_SIZES = (8, 16, 32)
 ASSOCIATIVITIES = (1, 2, 4)
 POLICIES = ("lru", "fifo", "lfu", "2q")
+
+#: Loop cache of the loop-cache checks: the paper's four-entry region
+#: table, large enough for every generated region set.
+LOOP_CACHE = LoopCacheConfig(size=512, max_regions=4)
+
+#: Every this-many-th randomized trial replays loop-cache regions.
+REGION_TRIAL_EVERY = 3
 
 
 def report_differences(reference: SimulationReport,
@@ -214,8 +229,127 @@ def _reference_probe_replay(lines: list[int], owners: list[int],
     return hits, cache.conflict_misses, cache.compulsory_misses
 
 
+class SegmentImage:
+    """A synthetic linked image: named blocks of raw fetch segments.
+
+    Provides the two members of
+    :class:`~repro.traces.layout.LinkedImage` that the reference
+    simulator and :func:`~repro.memory.kernel.stream.compile_stream`
+    read (``memory_objects`` and :meth:`all_plans`), so both backends
+    can be driven with hand-placed segments.  Every block is a plain
+    run of segments: no tail jump, call or return.
+
+    Args:
+        names: memory-object names.
+        blocks: block name -> the segments it fetches, in order.
+    """
+
+    def __init__(self, names, blocks: dict) -> None:
+        self.memory_objects = [SimpleNamespace(name=name)
+                               for name in names]
+        self._plans = {
+            block: BlockFetchPlan(block, tuple(segments), None, None,
+                                  False, False)
+            for block, segments in blocks.items()
+        }
+
+    def all_plans(self) -> dict[str, BlockFetchPlan]:
+        """Block name -> fetch plan."""
+        return self._plans
+
+
+def straddling_regions(rng: random.Random, segments,
+                       max_regions: int = 4) -> list[LoopRegion]:
+    """Seeded non-overlapping regions cut through segment interiors.
+
+    Alternately starts a region inside a segment (so its first words
+    stay on the cache path) and ends one inside a segment (so its last
+    words do), making the segments mixed.  Region sizes are 1-32
+    words, so any set fits :data:`LOOP_CACHE`.
+
+    Args:
+        rng: the seeded generator.
+        segments: ``(address, words)`` pairs to cut; those of one word
+            cannot straddle and are skipped.
+        max_regions: regions to place at most.
+    """
+    candidates = [(address, words) for address, words in segments
+                  if words >= 2]
+    regions: list[LoopRegion] = []
+    for attempt in range(20 * max_regions):
+        if not candidates or len(regions) == max_regions:
+            break
+        address, words = rng.choice(candidates)
+        cut = address + 4 * rng.randrange(1, words)
+        size = 4 * rng.randrange(1, 33)
+        if attempt % 2:
+            start, end = max(0, cut - size), cut
+        else:
+            start, end = cut, cut + size
+        region = LoopRegion(f"r{len(regions)}", start, end - start)
+        if any(region.start < other.end and other.start < region.end
+               for other in regions):
+            continue
+        regions.append(region)
+    return regions
+
+
+def _region_case(seed: int) -> VerifyCase:
+    """One randomized loop-cache trial over synthetic segments.
+
+    Random segments of a few memory objects, each owning a 64-word
+    address range, are executed in a random block order behind a loop
+    cache whose regions straddle segment boundaries; both backends
+    replay the same :class:`SegmentImage`.
+    """
+    from repro.memory.hierarchy import HierarchyConfig, simulate
+
+    rng = random.Random(seed)
+    config = random_cache_config(rng)
+    names = tuple(f"mo{index}" for index in range(rng.randrange(2, 6)))
+    blocks = {}
+    for block in range(rng.randrange(4, 12)):
+        segments = []
+        for _ in range(rng.randrange(1, 4)):
+            owner = rng.randrange(len(names))
+            words = rng.randrange(1, 13)
+            address = 0x1000 + 256 * owner + 4 * rng.randrange(64 - words)
+            segments.append(
+                FetchSegment(names[owner], address, words, False)
+            )
+        blocks[f"b{block}"] = segments
+    image = SegmentImage(names, blocks)
+    sequence = [rng.choice(list(blocks))
+                for _ in range(rng.randrange(30, 200))]
+    regions = straddling_regions(
+        rng,
+        [(seg.address, seg.num_words)
+         for segments in blocks.values() for seg in segments],
+        max_regions=rng.randrange(5),
+    )
+    hierarchy = HierarchyConfig(cache=config, loop_cache=LOOP_CACHE)
+    reference = simulate(image, hierarchy, sequence,
+                         loop_regions=regions, backend="reference")
+    vector = simulate(image, hierarchy, sequence,
+                      loop_regions=regions, backend="vector")
+    description = (
+        f"seed={seed} size={config.size} line={config.line_size} "
+        f"assoc={config.associativity} policy={config.policy} "
+        f"blocks={len(sequence)} loop regions="
+        + ",".join(f"[{r.start:#x},{r.end:#x})" for r in regions)
+    )
+    return VerifyCase("probe", description,
+                      tuple(report_differences(reference, vector)))
+
+
 def _probe_case(seed: int) -> VerifyCase:
-    """One randomized probe-level differential trial."""
+    """One randomized probe-level differential trial.
+
+    Every :data:`REGION_TRIAL_EVERY`-th seed is a loop-cache trial
+    (:func:`_region_case`) instead.
+    """
+    if seed % REGION_TRIAL_EVERY == REGION_TRIAL_EVERY - 1:
+        return _region_case(seed)
     rng = random.Random(seed)
     config = random_cache_config(rng)
     lines, owners, names = _random_probes(rng, config)
@@ -362,6 +496,79 @@ def _workload_cases(workload_name: str, scale: float,
             cache = hierarchy.cache
             description = (
                 f"{workload_name}/{label} size={cache.size} "
+                f"line={cache.line_size} assoc={cache.associativity} "
+                f"policy={cache.policy}"
+                + (" +L2" if hierarchy.l2_cache is not None else "")
+            )
+            cases.append(VerifyCase(
+                "workload", description,
+                tuple(report_differences(reference, vector)),
+            ))
+        if label == "baseline":
+            cases.extend(_loop_cache_cases(workload_name, bench, image,
+                                           stream, seed))
+    return cases
+
+
+def _loop_cache_configs() -> list:
+    """Loop-cache hierarchies of the end-to-end check.
+
+    Every :data:`POLICIES` member at two ways, the direct-mapped
+    replay, and one two-level (L1+L2) configuration, all behind
+    :data:`LOOP_CACHE`.
+    """
+    from repro.memory.hierarchy import HierarchyConfig
+
+    caches = [CacheConfig(size=128, line_size=16, associativity=2,
+                          policy=policy) for policy in POLICIES]
+    caches.append(CacheConfig(size=64, line_size=16, associativity=1))
+    configs = [HierarchyConfig(cache=cache, loop_cache=LOOP_CACHE)
+               for cache in caches]
+    configs.append(HierarchyConfig(
+        cache=CacheConfig(size=128, line_size=16, associativity=2),
+        l2_cache=CacheConfig(size=512, line_size=16, associativity=4),
+        loop_cache=LOOP_CACHE,
+    ))
+    return configs
+
+
+def _loop_cache_cases(workload_name: str, bench, image, stream,
+                      seed: int) -> list[VerifyCase]:
+    """Reference-vs-vector cases behind a preloaded loop cache.
+
+    Two region sets over the baseline image: the Ross allocator's own
+    choice at :data:`LOOP_CACHE` and a seeded set cutting through
+    segment interiors (:func:`straddling_regions`).
+    """
+    from repro.core.ross import RossLoopCacheAllocator
+    from repro.memory.hierarchy import simulate
+    from repro.memory.kernel.vector import simulate_stream
+
+    ross = RossLoopCacheAllocator(LOOP_CACHE).allocate(
+        bench.conflict_graph, context=bench.allocation_context()
+    )
+    segments = sorted(set(zip(stream.seg_addr.tolist(),
+                              stream.seg_words.tolist())))
+    region_sets = (
+        ("ross", list(ross.loop_regions)),
+        ("straddling", straddling_regions(random.Random(seed),
+                                          segments)),
+    )
+    cases = []
+    for set_label, regions in region_sets:
+        for hierarchy in _loop_cache_configs():
+            reference = simulate(
+                image, hierarchy, bench.block_sequence,
+                spm_base=bench.config.spm_base, loop_regions=regions,
+                backend="reference",
+            )
+            vector = simulate_stream(stream, hierarchy,
+                                     spm_base=bench.config.spm_base,
+                                     loop_regions=regions)
+            cache = hierarchy.cache
+            description = (
+                f"{workload_name}/loop-cache {set_label} "
+                f"({len(regions)} regions) size={cache.size} "
                 f"line={cache.line_size} assoc={cache.associativity} "
                 f"policy={cache.policy}"
                 + (" +L2" if hierarchy.l2_cache is not None else "")

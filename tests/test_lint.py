@@ -1,5 +1,6 @@
-"""Lightweight lint enforced as tests: no unused imports, no tabs, and
-only the run-context module writes the process-wide instrument slots.
+"""Lightweight lint enforced as tests: no unused imports, no tabs,
+only the run-context module writes the process-wide instrument slots,
+and every call pinning the reference simulator is listed with a reason.
 
 Keeps the source tree tidy without external tooling (the environment is
 offline); the checker is a small AST walk, deliberately conservative
@@ -115,4 +116,72 @@ def test_only_the_run_context_writes_slots(path):
     assert not offenders, (
         f"{path.name}: install through RunContext instead of "
         f"{offenders}"
+    )
+
+
+#: Every ``src/repro`` call that passes a literal ``backend="reference"``,
+#: keyed by (module, enclosing function), with why it needs the
+#: reference interpreter.  A pin skips the vector kernel without
+#: touching ``sim.kernel.fallbacks``, so a fast path can be bypassed
+#: silently; a new pin must be added here on purpose.
+REFERENCE_PINS = {
+    ("core/pipeline.py", "Workbench.simulate_image_grid.compute"):
+        "grid fallback for configs the kernel rejects (ARC/OPT/random); "
+        "the caller counts each in sim.kernel.fallbacks first",
+    ("core/pipeline.py", "Workbench._phase_profile"):
+        "phase-tracked baseline of the overlay allocator; the kernel "
+        "does not bin statistics per phase",
+    ("evaluation/dse.py", "_OptBound._bench"):
+        "OPT-policy workbench; only the interpreter drives the "
+        "next-use oracle",
+    ("evaluation/verify_grid.py", "_replay_cases"):
+        "verify-grid oracle side",
+    ("memory/kernel/verify.py", "workload_images"):
+        "verify-kernel/verify-grid fixture profiled on the oracle, so "
+        "the kernel is never checked against its own output",
+    ("memory/kernel/verify.py", "_region_case"):
+        "verify-kernel oracle side (random loop-cache regions)",
+    ("memory/kernel/verify.py", "_workload_cases"):
+        "verify-kernel oracle side",
+    ("memory/kernel/verify.py", "_loop_cache_cases"):
+        "verify-kernel oracle side (loop-cache hierarchies)",
+    ("obs/history.py", "measure_policy_misses"):
+        "policy suite covers ARC/OPT/random; one interpreter for "
+        "every row keeps the OPT floor comparable",
+}
+
+
+def reference_pins(tree):
+    """Yield the qualified name of each scope pinning the reference."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from walk(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and any(
+                keyword.arg == "backend"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value == "reference"
+                for keyword in child.keywords
+            ):
+                yield ".".join(scope)
+            yield from walk(child, scope)
+
+    yield from walk(tree, [])
+
+
+def test_reference_backend_pins_are_listed():
+    found = {
+        (str(path.relative_to(SRC)), scope)
+        for path in SOURCES
+        for scope in reference_pins(ast.parse(path.read_text()))
+    }
+    assert not found - set(REFERENCE_PINS), (
+        f"unlisted backend=\"reference\" pins (add each with its "
+        f"reason to REFERENCE_PINS): {sorted(found - set(REFERENCE_PINS))}"
+    )
+    assert not set(REFERENCE_PINS) - found, (
+        f"stale REFERENCE_PINS entries: "
+        f"{sorted(set(REFERENCE_PINS) - found)}"
     )
