@@ -2,12 +2,12 @@
 """Generate ``docs/API.md`` from the public API's docstrings.
 
 The documented surface is the curated module list below — the
-tutorial-facing API: the workbench pipeline, the experiment engine,
-the observability layer, workload construction and the evaluation
-entry points.  Output is deterministic (members sorted by name, no
-timestamps), so the generated file is committed and a tier-1 test
-(``tests/test_api_docs.py``) plus ``make docs`` fail when it drifts
-from the docstrings.
+tutorial-facing API: the workbench pipeline, the ILP solver, the
+experiment engine, the observability layer, workload construction and
+the evaluation entry points.  Output is deterministic (members sorted
+by name, no timestamps), so the generated file is committed and a
+tier-1 test (``tests/test_api_docs.py``) plus ``make docs`` fail when
+it drifts from the docstrings.
 
 Usage:
     python scripts/gen_api_docs.py            # rewrite docs/API.md
@@ -29,6 +29,8 @@ OUTPUT = REPO_ROOT / "docs" / "API.md"
 MODULES = (
     "repro.api",
     "repro.core.pipeline",
+    "repro.ilp.branch_and_bound",
+    "repro.ilp.scipy_backend",
     "repro.memory.kernel.stream",
     "repro.memory.kernel.vector",
     "repro.memory.kernel.verify",

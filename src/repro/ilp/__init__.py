@@ -2,11 +2,15 @@
 
 The paper solves its allocation problem with a commercial ILP solver
 (CPLEX [5]).  This package provides the reproduction's equivalent,
-built on :func:`scipy.optimize.linprog` (HiGHS) for LP relaxations:
+built on HiGHS (through scipy) for LP relaxations:
 
 * :mod:`repro.ilp.expr` / :mod:`repro.ilp.model` — a PuLP-like modelling
   layer (variables, linear expressions, constraints, a model);
-* :mod:`repro.ilp.scipy_backend` — LP relaxation solving;
+* :mod:`repro.ilp.scipy_backend` — LP relaxation solving: one
+  persistent HiGHS model per solver, re-solved cold per node and
+  bitwise equal to :func:`scipy.optimize.linprog`, which stays as the
+  reference and as the fallback for scipy releases without the
+  bundled HiGHS bindings;
 * :mod:`repro.ilp.branch_and_bound` — exact 0/1 / integer solving by
   best-bound branch & bound with an LP-rounding warm start;
 * :mod:`repro.ilp.knapsack` — an exact dynamic-programming 0/1 knapsack

@@ -141,7 +141,12 @@ class BranchAndBoundSolver:
                                telemetry=telemetry)
         assert root.objective is not None
 
-        integer_vars = model.integer_variables
+        # Branching weights depend only on the objective: compute them
+        # once per solve, not once per node.
+        branch_weights = [
+            (var, 1.0 + abs(model.objective.coefficient(var)))
+            for var in model.integer_variables
+        ]
         incumbent = self._rounding_heuristic(model, lp, root, sense_mult)
         if incumbent is not None:
             telemetry.incumbent_updates += 1
@@ -233,9 +238,8 @@ class BranchAndBoundSolver:
                     node_key >= incumbent.objective_key - self.absolute_gap:
                 continue
 
-            fractional = self._branching_variable(
-                model, integer_vars, solution
-            )
+            fractional = self._branching_variable(branch_weights,
+                                                  solution)
             if fractional is None:
                 incumbent = _Incumbent(node_key, solution.objective,
                                        dict(solution.values))
@@ -307,25 +311,24 @@ class BranchAndBoundSolver:
 
     @staticmethod
     def _branching_variable(
-        model: Model,
-        integer_vars: list[Variable],
+        branch_weights: list[tuple[Variable, float]],
         solution: LpSolution,
     ) -> tuple[Variable, float] | None:
         """Pick a fractional integer variable to branch on.
 
-        Fractionality is weighted by the variable's objective
-        coefficient (a cheap pseudo-cost proxy): fixing a variable the
-        objective cares about moves the node bounds further, pruning
-        earlier.
+        Fractionality is weighted by ``1 + |objective coefficient|``
+        (*branch_weights*, a cheap pseudo-cost proxy): fixing a
+        variable the objective cares about moves the node bounds
+        further, pruning earlier.
         """
         best: tuple[Variable, float] | None = None
         best_score = 0.0
-        for variable in integer_vars:
-            value = solution.values[variable]
+        values = solution.values
+        for variable, weight in branch_weights:
+            value = values[variable]
             distance = abs(value - round(value))
             if distance <= INTEGRALITY_TOLERANCE:
                 continue
-            weight = 1.0 + abs(model.objective.coefficient(variable))
             score = distance * weight
             if score > best_score:
                 best_score = score

@@ -1,5 +1,6 @@
 """Lightweight lint enforced as tests: no unused imports, no tabs,
 only the run-context module writes the process-wide instrument slots,
+only the LP backend imports scipy's private HiGHS bindings,
 and every call pinning the reference simulator is listed with a reason.
 
 Keeps the source tree tidy without external tooling (the environment is
@@ -117,6 +118,46 @@ def test_only_the_run_context_writes_slots(path):
         f"{path.name}: install through RunContext instead of "
         f"{offenders}"
     )
+
+
+#: scipy's bundled HiGHS bindings: a private API, confined to one module.
+PRIVATE_HIGHS = "scipy.optimize._highspy"
+
+#: The one module allowed to import :data:`PRIVATE_HIGHS`.
+LP_BACKEND = SRC / "ilp" / "scipy_backend.py"
+
+
+def private_highs_imports(tree):
+    """Yield the line of every import reaching :data:`PRIVATE_HIGHS`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            targets = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        if any(target == PRIVATE_HIGHS
+               or target.startswith(PRIVATE_HIGHS + ".")
+               for target in targets):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path != LP_BACKEND],
+    ids=lambda p: str(p.relative_to(SRC)),
+)
+def test_only_the_lp_backend_imports_private_highs(path):
+    lines = list(private_highs_imports(ast.parse(path.read_text())))
+    assert not lines, (
+        f"{path.name}: lines {lines} import {PRIVATE_HIGHS}; go "
+        f"through repro.ilp.scipy_backend instead"
+    )
+
+
+def test_lp_backend_private_highs_import_is_detected():
+    assert list(private_highs_imports(ast.parse(LP_BACKEND.read_text())))
 
 
 #: Every ``src/repro`` call that passes a literal ``backend="reference"``,
