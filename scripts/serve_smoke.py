@@ -8,6 +8,10 @@ service-level objectives:
 * **zero failed requests** across the whole run;
 * **p99 latency** under a generous bound (order-of-magnitude guard,
   not a micro-benchmark);
+* a single sequential client never waits on the batching timer:
+  its requests flush onto an idle executor, so
+  ``repro_serve_batch_flush_deadline_total`` stays 0 (a count, not a
+  timing);
 * the micro-batcher actually **coalesced** concurrent requests
   (scraped from ``/metrics``);
 * ``/healthz`` reports healthy after the burst.
@@ -35,6 +39,9 @@ SMOKE_REQUESTS = 500
 
 #: Closed-loop workers driving the daemon.
 SMOKE_WORKERS = 4
+
+#: Requests of the single-client sequential phase run first.
+SEQUENTIAL_REQUESTS = 20
 
 #: p99 latency bound in seconds (order-of-magnitude guard: typical
 #: tiny-workload p99 is a few tens of milliseconds).
@@ -82,13 +89,27 @@ def main() -> int:
         url, port = match.group(1), int(match.group(2))
         print(f"daemon up at {url}")
 
+        failures = []
+        sequential = run_load(url, requests=SEQUENTIAL_REQUESTS,
+                              workers=1, workload="tiny", scale=0.2)
+        status, body = _get(port, "/metrics")
+        timer_flushes = _scrape_counter(
+            body.decode("utf-8"),
+            "repro_serve_batch_flush_deadline_total")
+        if sequential.failures:
+            failures.append(f"{sequential.failures} failed "
+                            f"sequential request(s)")
+        if status != 200 or timer_flushes != 0:
+            failures.append(
+                f"a single sequential client hit {timer_flushes:g} "
+                f"deadline flush(es); want 0 (/metrics {status})")
+
         started = time.perf_counter()
         report = run_load(url, requests=SMOKE_REQUESTS,
                           workers=SMOKE_WORKERS, workload="tiny",
                           scale=0.2)
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
 
-        failures = []
         if report.failures:
             failures.append(
                 f"{report.failures} failed request(s)")
@@ -109,9 +130,10 @@ def main() -> int:
             failures.append("micro-batcher never coalesced")
         handled = _scrape_counter(
             text, "repro_serve_requests_total_total")
-        if handled < SMOKE_REQUESTS:
+        if handled < SMOKE_REQUESTS + SEQUENTIAL_REQUESTS:
             failures.append(
-                f"daemon counted {handled:g} < {SMOKE_REQUESTS}")
+                f"daemon counted {handled:g} < "
+                f"{SMOKE_REQUESTS + SEQUENTIAL_REQUESTS}")
 
         status, body = _get(port, "/healthz")
         if status != 200 or not json.loads(body).get("healthy"):
@@ -122,7 +144,9 @@ def main() -> int:
             for failure in failures:
                 print(f"FAIL: {failure}")
             return 1
-        print(f"serve-smoke OK: {SMOKE_REQUESTS} requests, "
+        print(f"serve-smoke OK: {SEQUENTIAL_REQUESTS} sequential "
+              f"requests with 0 deadline flushes, then "
+              f"{SMOKE_REQUESTS} requests, "
               f"0 failures, p99 {p99 * 1e3:.1f}ms, "
               f"{coalesced:g} coalesced, {wall:.1f}s wall")
         return 0

@@ -454,7 +454,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=8,
                        help="micro-batch flush threshold (default 8)")
     serve.add_argument("--max-delay", type=float, default=0.02,
-                       help="micro-batch flush deadline in seconds "
+                       help="longest a request is held behind a "
+                            "running batch before it flushes, in "
+                            "seconds; an idle daemon flushes at once "
                             "(default 0.02)")
     serve.add_argument(
         "--store-backend", default="memory", metavar="SPEC",

@@ -659,9 +659,9 @@ def measure_serve_overload(
     Three short segments, the first two fully deterministic:
 
     1. **admission** — a service bounded to one in-flight request
-       holds a slow solve in the micro-batcher while *sheds* more
-       requests arrive; every one must shed, so
-       ``serve.overload.shed.total`` is exactly *sheds*.
+       holds a slow solve (a ``worker.exec`` sleep fault) in the
+       executor while *sheds* more requests arrive; every one must
+       shed, so ``serve.overload.shed.total`` is exactly *sheds*.
     2. **breaker** — a service with ``breaker_threshold=2`` sees two
        genuinely failing requests (an unknown workload; healed faults
        never count), so ``serve.overload.breaker.opens`` is exactly 1
@@ -685,14 +685,15 @@ def measure_serve_overload(
 
     # Segment 1: exactly `sheds` overload sheds behind one slow solve.
     service = AllocationService(ServiceConfig(
-        max_inflight=1, max_delay_s=0.3))
+        max_inflight=1, max_delay_s=0.3,
+        fault_spec="worker.exec:sleep=0.5@nth=1"))
     service.start()
     try:
         async def admission_scenario() -> None:
             slow = asyncio.ensure_future(service.handle(
                 EvaluateRequest(workload_name, scale=scale,
                                 seed=seed, spm_size=64)))
-            await asyncio.sleep(0.05)  # admitted, queued in batcher
+            await asyncio.sleep(0.05)  # admitted, asleep in executor
             for _ in range(sheds):
                 response = await service.handle(EvaluateRequest(
                     workload_name, scale=scale, seed=seed,

@@ -52,6 +52,13 @@ DEFAULT_P99_LIMIT_S = 2.0
 #: runs twice as many closed-loop workers.
 DEFAULT_MAX_INFLIGHT = 4
 
+#: Fault plan of the gate's daemon: every solve attempt (retries too)
+#: sleeps 50 ms first.  Work stays in flight long enough to overload,
+#: disconnect from and drain, and a deadline-storm request can never
+#: beat its 1 ms budget — held behind a running batch it expires in
+#: the queue, flushed onto an idle executor it times out.
+GATE_FAULTS = "worker.exec:sleep=0.05@p=1,retries"
+
 
 @dataclass
 class ServeChaosResult:
@@ -261,6 +268,7 @@ def run_serve_chaos(workload: str = "tiny", scale: float = 0.2,
         "--max-body-bytes", str(64 * 1024),
         "--drain-timeout", "15",
         "--stall-timeout", "60",
+        "--faults", GATE_FAULTS,
     ])
     try:
         # Warm the daemon's artifact cache so overload timing measures

@@ -263,7 +263,8 @@ class ServeDaemon:
         The route runs as its own task; if the client goes away while
         it is in flight the task is cancelled — the cancellation
         propagates through the service (releasing the admission slot)
-        so orphaned work never occupies the executor.  Returns
+        and the batcher drops a cancelled request at flush, so
+        orphaned work never occupies the executor.  Returns
         ``None`` when the client disconnected.
         """
         route = asyncio.ensure_future(

